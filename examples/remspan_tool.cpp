@@ -465,9 +465,9 @@ int tool_main(int argc, char** argv) {
   const std::string trace_out = opts.get_string("trace-out", "");
   const std::string metrics_out = opts.get_string("metrics-out", "");
   const FaultConfig faults = fault_config_from_flags(opts, seed);
-  // --shards S builds through the sharded engine (S >= 2; 1 = flat engine,
-  // same output either way), --shard-batch the roots per frontier batch.
-  const auto shards = static_cast<std::size_t>(opts.get_int("shards", 1));
+  // --shards caps the pool workers that build (0 = the whole pool),
+  // --shard-batch sets the roots per cluster; output is the same either way.
+  const auto shards = static_cast<std::size_t>(opts.get_int("shards", 0));
   const auto shard_batch = static_cast<std::size_t>(opts.get_int("shard-batch", 128));
   const std::string emit_trace_path = opts.get_string("emit-churn-trace", "");
   const auto trace_batches = static_cast<std::size_t>(opts.get_int("trace-batches", 20));

@@ -42,10 +42,10 @@ struct BuildContext {
   Rng* rng = nullptr;
   /// Filled with per-root tree aggregates when the construction has them.
   SpannerBuildInfo* info = nullptr;
-  /// Execution engine for the union-of-trees constructions (th1, th2, th3):
-  /// the default single-shard config is the flat pooled engine; num_shards
-  /// >= 2 runs the sharded frontier-batched engine (src/shard) with
-  /// bit-identical output. Constructions without per-root trees ignore it.
+  /// Execution knobs of the cluster-batched engine behind the
+  /// union-of-trees constructions (th1, th2, th3; src/shard): worker cap
+  /// (0 = the whole pool) and roots per cluster. Output is bit-identical
+  /// for every setting. Constructions without per-root trees ignore it.
   ShardConfig shards{};
 };
 

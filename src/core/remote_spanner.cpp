@@ -1,121 +1,26 @@
 #include "core/remote_spanner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
-#include <utility>
-#include <vector>
 
-#include "obs/obs.hpp"
 #include "shard/shard_engine.hpp"
-#include "util/bitset.hpp"
-#include "util/thread_pool.hpp"
 
 namespace remspan {
-
-namespace {
-
-/// Shared driver: runs `make_tree(builder, u)` for every root u in parallel,
-/// unioning the tree edges into one shared bitset of atomic words — O(m)
-/// bits total, independent of the worker count (the previous per-worker
-/// EdgeSet accumulators cost O(workers · m), which is what blew memory
-/// first on n >= 10^6 inputs).
-///
-/// Memory model: each worker merges one tree's edge bits into plain
-/// (word, mask) pairs first, then publishes each touched word with a single
-/// relaxed fetch_or. Relaxed is sufficient because a set bit carries no
-/// payload other threads read through it; the final snapshot() happens
-/// after the fork/join barrier of parallel_for_workers, which orders every
-/// write before the read.
-EdgeSet union_of_trees(const Graph& g,
-                       const std::function<RootedTree(DomTreeBuilder&, NodeId)>& make_tree,
-                       SpannerBuildInfo* info) {
-  obs::PhaseSpan span("core.union_of_trees");
-  auto& pool = ThreadPool::global();
-  const std::size_t workers = pool.concurrency();
-
-  AtomicBitset shared(g.num_edges());
-  std::vector<std::unique_ptr<DomTreeBuilder>> builders(workers);
-  for (auto& b : builders) b = std::make_unique<DomTreeBuilder>(g);
-  // Per-worker reusable edge-id buffer, sized by the largest tree seen.
-  std::vector<std::vector<EdgeId>> edge_ids(workers);
-
-  std::atomic<std::size_t> sum_edges{0};
-  std::atomic<std::size_t> max_edges{0};
-  // Union-cost observability: atomic words or'd and max-tracking CAS
-  // retries, accumulated only when a metrics sink is installed (the
-  // counts are telemetry, not part of the build result).
-  std::atomic<std::uint64_t> words_ord{0};
-  std::atomic<std::uint64_t> cas_retries{0};
-  const bool count_union = obs::metrics() != nullptr;
-
-  pool.parallel_for_workers(0, g.num_nodes(), [&](std::size_t root, std::size_t worker) {
-    const RootedTree tree = make_tree(*builders[worker], static_cast<NodeId>(root));
-    auto& ids = edge_ids[worker];
-    ids.clear();
-    for (const NodeId v : tree.nodes()) {
-      if (v == tree.root()) continue;
-      // The builders record each node's parent edge id at attach time, so the
-      // union needs no adjacency search per tree edge.
-      const EdgeId id = tree.parent_edge(v);
-      REMSPAN_CHECK(id != kInvalidEdge);
-      ids.push_back(id);
-    }
-    const std::size_t edges = ids.size();
-    // Word-level batching (or_batch): one tree's bits merge into plain
-    // masks locally, one atomic RMW per touched word — contention stays
-    // off the hot loop.
-    const std::size_t touched = shared.or_batch(ids);
-    sum_edges.fetch_add(edges, std::memory_order_relaxed);
-    std::size_t seen = max_edges.load(std::memory_order_relaxed);
-    std::uint64_t retries = 0;
-    while (edges > seen &&
-           !max_edges.compare_exchange_weak(seen, edges, std::memory_order_relaxed)) {
-      ++retries;
-    }
-    if (count_union) {
-      words_ord.fetch_add(touched, std::memory_order_relaxed);
-      cas_retries.fetch_add(retries, std::memory_order_relaxed);
-    }
-  });
-
-  EdgeSet spanner(g, shared.snapshot());
-
-  if (info != nullptr) {
-    info->sum_tree_edges = sum_edges.load();
-    info->max_tree_edges = max_edges.load();
-    info->build_seconds = span.seconds();
-  }
-  if (obs::Registry* m = obs::metrics()) {
-    m->counter("union.builds").add(1);
-    m->counter("union.trees").add(g.num_nodes());
-    m->counter("union.words_ord").add(words_ord.load());
-    m->counter("union.cas_retries").add(cas_retries.load());
-    m->counter("union.spanner_edges").add(spanner.size());
-  }
-  return spanner;
-}
-
-}  // namespace
 
 EdgeSet build_remote_spanner(const Graph& g, Dist r, Dist beta, TreeAlgorithm algo,
                              SpannerBuildInfo* info, const ShardConfig& shards) {
   REMSPAN_CHECK(r >= 2);
+  // The gather ball: the tree BFS explores to max(r, r-1+beta), the deepest
+  // shell the candidate ranges reach (dominating_tree.cpp uses the same
+  // bound) — r itself for the MIS trees, whose beta is 1.
+  const Dist ball_depth = std::max<Dist>(r, r - 1 + beta);
   if (algo == TreeAlgorithm::kMis) {
     REMSPAN_CHECK(beta == 1);  // Algorithm 2 computes (r,1)-dominating trees
-    const auto make_tree = [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); };
-    if (shards.sharded()) return sharded_union_of_trees(g, r, make_tree, shards, info);
-    return union_of_trees(g, make_tree, info);
+    return cluster_union_of_trees(
+        g, ball_depth, [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); }, shards, info);
   }
-  // The greedy ball: the BFS explores to max(r, r-1+beta), the deepest
-  // shell the candidate ranges reach (dominating_tree.cpp uses the same
-  // bound); the sharded gather must cover exactly that.
-  const Dist ball_depth = std::max<Dist>(r, r - 1 + beta);
-  const auto make_tree = [r, beta](DomTreeBuilder& b, NodeId u) {
-    return b.greedy(u, r, beta);
-  };
-  if (shards.sharded()) return sharded_union_of_trees(g, ball_depth, make_tree, shards, info);
-  return union_of_trees(g, make_tree, info);
+  return cluster_union_of_trees(
+      g, ball_depth, [r, beta](DomTreeBuilder& b, NodeId u) { return b.greedy(u, r, beta); },
+      shards, info);
 }
 
 EdgeSet build_low_stretch_remote_spanner(const Graph& g, double eps, TreeAlgorithm algo,
@@ -127,17 +32,15 @@ EdgeSet build_low_stretch_remote_spanner(const Graph& g, double eps, TreeAlgorit
 EdgeSet build_k_connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info,
                                    const ShardConfig& shards) {
   REMSPAN_CHECK(k >= 1);
-  const auto make_tree = [k](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); };
-  if (shards.sharded()) return sharded_union_of_trees(g, 2, make_tree, shards, info);
-  return union_of_trees(g, make_tree, info);
+  return cluster_union_of_trees(
+      g, 2, [k](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); }, shards, info);
 }
 
 EdgeSet build_2connecting_spanner(const Graph& g, Dist k, SpannerBuildInfo* info,
                                   const ShardConfig& shards) {
   REMSPAN_CHECK(k >= 1);
-  const auto make_tree = [k](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); };
-  if (shards.sharded()) return sharded_union_of_trees(g, 2, make_tree, shards, info);
-  return union_of_trees(g, make_tree, info);
+  return cluster_union_of_trees(
+      g, 2, [k](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); }, shards, info);
 }
 
 }  // namespace remspan

@@ -1,7 +1,8 @@
 // Remote-spanner construction: the union over every node u of a dominating
 // tree rooted at u (the paper's Section 2.3 / 3.3 recipe, i.e. the local
 // computation each node performs in Algorithm RemSpan). The per-root tree
-// computations are independent, so they run on the thread pool.
+// computations are independent and each reads only its root's bounded ball,
+// so they run on the thread pool in spatially compact root clusters.
 //
 // Front-ends for the three theorems:
 //   Theorem 1: (1+eps, 1-2eps)-remote-spanner   = union of (r,1)-dominating
@@ -32,18 +33,16 @@ enum class TreeAlgorithm {
 struct SpannerBuildInfo {
   std::size_t sum_tree_edges = 0;  // sum over roots (counts shared edges repeatedly)
   std::size_t max_tree_edges = 0;  // largest single dominating tree
-  double build_seconds = 0.0;      // wall time of the parallel union
+  double build_seconds = 0.0;      // wall time of the whole build
 };
 
 /// Union of (r, beta)-dominating trees for every root. beta must be 1 when
 /// algo == kMis (Algorithm 2 is specific to beta = 1).
 ///
-/// `shards` selects the execution engine (see src/shard): the default
-/// single-shard config runs the flat pooled union below, byte-identical to
-/// builds before sharding existed; num_shards >= 2 runs the sharded
-/// frontier-batched engine, which produces the same spanner bit-for-bit
-/// (test_shard_equivalence.cpp) at a different memory/locality profile.
-/// The same knob rides on every front-end in this header.
+/// Every front-end in this header runs the cluster-batched engine of
+/// src/shard/shard_engine.hpp; `shards` only tunes its execution (worker
+/// cap, roots per cluster) and never changes an output bit
+/// (test_shard_equivalence.cpp).
 [[nodiscard]] EdgeSet build_remote_spanner(const Graph& g, Dist r, Dist beta,
                                            TreeAlgorithm algo,
                                            SpannerBuildInfo* info = nullptr,

@@ -5,6 +5,7 @@
 
 #include "graph/views.hpp"
 #include "obs/obs.hpp"
+#include "shard/shard_engine.hpp"
 #include "util/thread_pool.hpp"
 
 namespace remspan {
@@ -42,6 +43,12 @@ IncrementalConfig IncrementalConfig::two_connecting(Dist k) {
   cfg.beta = 1;
   cfg.k = k;
   return cfg;
+}
+
+Dist IncrementalConfig::ball_depth() const noexcept {
+  // MIS trees have beta = 1 (depth r); the k-connecting shells have r = 2
+  // and beta <= 1 (depth 2).
+  return std::max<Dist>(r, r - 1 + beta);
 }
 
 Dist IncrementalConfig::dirty_radius() const noexcept {
@@ -130,17 +137,24 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
 
 namespace {
 
-/// Records one built tree: stores its edges as canonical node pairs into
-/// `out` and bumps the shared refcounts through its recorded parent-edge
-/// ids (valid in the graph the tree was built on).
-std::size_t record_tree(const RootedTree& tree, std::vector<Edge>& out,
+/// Records one built tree: stores its edges as canonical global node pairs
+/// into `out` and bumps the shared refcounts through its recorded
+/// parent-edge ids. A tree built on a gathered subgraph is translated
+/// through `gather`; a null gather means the tree already carries the ids
+/// of the refcounted graph.
+std::size_t record_tree(const RootedTree& tree, const BallGather* gather, std::vector<Edge>& out,
                         std::vector<std::uint32_t>& ref) {
   out.clear();
   for (const NodeId v : tree.nodes()) {
     if (v == tree.root()) continue;
-    out.push_back(make_edge(v, tree.parent(v)));
-    const EdgeId id = tree.parent_edge(v);
+    EdgeId id = tree.parent_edge(v);
     REMSPAN_CHECK(id != kInvalidEdge);
+    if (gather == nullptr) {
+      out.push_back(make_edge(v, tree.parent(v)));
+    } else {
+      out.push_back(make_edge(gather->global_id(v), gather->global_id(tree.parent(v))));
+      id = gather->global_edge(id);
+    }
     std::atomic_ref<std::uint32_t>(ref[id]).fetch_add(1, std::memory_order_relaxed);
   }
   return out.size();
@@ -164,19 +178,14 @@ void IncrementalSpanner::full_build() {
   const Graph& g = *graph_;
   trees_.assign(g.num_nodes(), {});
   ref_.assign(g.num_edges(), 0);
-  for (auto& b : builders_) {
-    if (b == nullptr) {
-      b = std::make_unique<DomTreeBuilder>(g);
-    } else {
-      b->rebind(g);
-    }
-  }
-  ThreadPool::global().parallel_for_workers(
-      0, g.num_nodes(), [&](std::size_t root, std::size_t worker) {
-        const RootedTree tree = config_.build_tree(*builders_[worker], static_cast<NodeId>(root));
-        record_tree(tree, trees_[root], ref_);
+  // The static engine builds every tree; the visitor keeps what the dirty
+  // rebuilds need: each root's edges and the per-edge refcounts.
+  spanner_ = cluster_union_of_trees(
+      g, config_.ball_depth(),
+      [this](DomTreeBuilder& builder, NodeId root) { return config_.build_tree(builder, root); },
+      {}, nullptr, [this](NodeId root, const RootedTree& tree, const BallGather& gather) {
+        record_tree(tree, &gather, trees_[root], ref_);
       });
-  rebuild_spanner_bits();
 }
 
 void IncrementalSpanner::rebuild_spanner_bits() {
@@ -255,12 +264,18 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
 
   // Phase 3 — rebuild the dirty roots' trees against the new snapshot on
   // the pool, re-adding their edges to the refcount union.
-  for (auto& b : builders_) b->rebind(*new_graph);
+  for (auto& b : builders_) {
+    if (b == nullptr) {
+      b = std::make_unique<DomTreeBuilder>(*new_graph);
+    } else {
+      b->rebind(*new_graph);
+    }
+  }
   std::atomic<std::size_t> rebuilt{0};
   pool.parallel_for_workers(0, dirty_.size(), [&](std::size_t i, std::size_t worker) {
     const NodeId root = dirty_[i];
     const RootedTree tree = config_.build_tree(*builders_[worker], root);
-    rebuilt.fetch_add(record_tree(tree, trees_[root], ref_), std::memory_order_relaxed);
+    rebuilt.fetch_add(record_tree(tree, nullptr, trees_[root], ref_), std::memory_order_relaxed);
   });
   stats.rebuilt_tree_edges = rebuilt.load();
 

@@ -76,6 +76,10 @@ struct IncrementalConfig {
   /// never read edges between two shell-2 nodes).
   [[nodiscard]] Dist dirty_radius() const noexcept;
 
+  /// Deepest BFS shell the per-root tree build explores: max(r, r-1+beta).
+  /// The full build gathers each root cluster's ball to this depth.
+  [[nodiscard]] Dist ball_depth() const noexcept;
+
   /// Runs the configured per-root tree algorithm.
   [[nodiscard]] RootedTree build_tree(DomTreeBuilder& builder, NodeId root) const;
 
@@ -203,6 +207,8 @@ class IncrementalSpanner {
   /// concurrently (std::atomic_ref) during the retire/rebuild phases.
   std::vector<std::uint32_t> ref_;
   EdgeSet spanner_;
+  /// Whole-graph builders for the dirty-root rebuilds, one per pool worker
+  /// id, allocated by the first batch that rebuilds.
   std::vector<std::unique_ptr<DomTreeBuilder>> builders_;
   std::vector<NodeId> dirty_;
   std::vector<std::uint8_t> dirty_flag_;

@@ -35,7 +35,7 @@ namespace detail {
 /// Overflow guards for graph construction: node and edge counts must fit
 /// the 32-bit NodeId/EdgeId index types, whose max values are reserved as
 /// the kInvalidNode/kInvalidEdge sentinels. At the 10^7-node scale the
-/// sharded engine targets, a count that silently wrapped would corrupt
+/// build engine targets, a count that silently wrapped would corrupt
 /// every downstream id; this throws CheckError up front instead
 /// (test_graph.cpp pins the failure mode).
 void check_graph_limits(std::size_t nodes, std::size_t edges);

@@ -47,7 +47,7 @@ class RootedTree {
 
   /// Graph edge id of {parent(v), v} as recorded at add_child time
   /// (kInvalidEdge for the root, absent nodes, and graph-less trees). Lets
-  /// union_of_trees insert tree edges into an EdgeSet with no adjacency
+  /// the union engine OR tree edges into the spanner bitset with no adjacency
   /// search.
   [[nodiscard]] EdgeId parent_edge(NodeId v) const {
     const Info* info = find(v);

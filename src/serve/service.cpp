@@ -27,6 +27,7 @@ struct SpannerService::Tenant {
   Tenant(std::string spec_string_in, std::unique_ptr<api::IncrementalSession> session_in)
       : spec_string(std::move(spec_string_in)),
         session(std::move(session_in)),
+        num_nodes(session->dynamic_graph().num_nodes()),
         queue(session->dynamic_graph().snapshot()) {
     SnapshotInfo info;
     info.epoch = 0;
@@ -43,6 +44,8 @@ struct SpannerService::Tenant {
   /// Engine + DynamicGraph. Touched only by the current drainer (the
   /// `draining` flag serializes), never under `mu`.
   std::unique_ptr<api::IncrementalSession> session;
+  /// The fixed node universe, readable without the drainer's session.
+  const NodeId num_nodes;
 
   mutable std::mutex mu;  ///< queue, stats, draining/closing, journal
   CoalescingQueue queue;
@@ -150,8 +153,29 @@ std::vector<TenantId> SpannerService::tenants() const {
 
 std::string SpannerService::tenant_spec(TenantId id) const { return find(id)->spec_string; }
 
+namespace {
+
+/// Throws ServiceError naming the first event whose ids the tenant's graph
+/// would reject: a node outside [0, n), or an edge that is a self-loop.
+void validate_events(std::span<const GraphEvent> events, NodeId n, TenantId id) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const GraphEvent& e = events[i];
+    const bool edge = e.kind == GraphEventKind::kEdgeUp || e.kind == GraphEventKind::kEdgeDown;
+    if (e.u < n && (!edge || (e.v < n && e.u != e.v))) continue;
+    throw ServiceError("tenant " + std::to_string(id) + ": event " + std::to_string(i) + " (" +
+                       (edge ? "edge " + std::to_string(e.u) + "-" + std::to_string(e.v)
+                             : "node " + std::to_string(e.u)) +
+                       ") is invalid on " + std::to_string(n) + " nodes");
+  }
+}
+
+}  // namespace
+
 Admission SpannerService::submit(TenantId id, std::span<const GraphEvent> events) {
   auto tenant = find(id);
+  // All-or-nothing: a bad id must bounce before the batch reaches the
+  // queue, where it would only fail later inside the drainer's apply.
+  validate_events(events, tenant->num_nodes, id);
   Admission verdict = Admission::kAccepted;
   CoalescingQueue::SubmitDelta delta;
   {

@@ -151,7 +151,9 @@ class SpannerService {
 
   /// Admission-controlled ingestion: folds `events` into the tenant's
   /// coalescing queue, or rejects the whole batch (all-or-nothing — a
-  /// rejected batch changes no state except the rejection counter).
+  /// rejected batch changes no state except the rejection counter). Throws
+  /// ServiceError, changing nothing, if any event names a node outside the
+  /// tenant's universe or an edge event is a self-loop.
   Admission submit(TenantId id, std::span<const GraphEvent> events);
 
   /// Drains this tenant's queue to empty on the calling thread,

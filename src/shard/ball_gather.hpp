@@ -1,14 +1,14 @@
-// Frontier-batched ball extraction: one multi-source bounded BFS per batch
+// Cluster-batched ball extraction: one multi-source bounded BFS per cluster
 // of roots (BallScout), then one compact induced subgraph of the union ball
-// (BallGather). The sharded engine builds every dominating tree of the
-// batch against that small local CSR instead of chasing pointers through
-// the full graph once per root — the ball-reuse win that makes sharding
-// profitable beyond plain parallelism.
+// (BallGather). The build engine (shard_engine.hpp) builds every dominating
+// tree of the cluster against that small local CSR instead of chasing
+// pointers through the full graph once per root — the ball-reuse win that
+// pays beyond plain parallelism.
 //
 // Bit-exactness argument (pinned by tests/test_shard_equivalence.cpp):
 // a tree built for root u against the gathered subgraph equals the tree
 // built against the whole graph, node-for-node and edge-for-edge, because
-//   1. the union ball contains B(u, depth) for every batch root u, and a
+//   1. the union ball contains B(u, depth) for every cluster root u, and a
 //      depth-bounded BFS only ever discovers nodes inside B(u, depth) —
 //      every neighbor scanned from a node at distance < depth lies in the
 //      ball, so the local BFS visits the same nodes, in the same order,

@@ -1,130 +1,127 @@
 #include "shard/shard_engine.hpp"
 
 #include <algorithm>
-#include <exception>
+#include <atomic>
 #include <memory>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "shard/ball_gather.hpp"
 #include "util/bitset.hpp"
+#include "util/thread_pool.hpp"
 
 namespace remspan {
 
 namespace {
 
-/// Per-rank tallies, accumulated single-threaded inside the rank's own
-/// thread and reduced after the join barrier.
-struct RankStats {
+/// Build tallies, bumped single-threaded by one worker and reduced after
+/// the join barrier.
+struct Tallies {
   std::size_t sum_tree_edges = 0;
   std::size_t max_tree_edges = 0;
   std::uint64_t batches = 0;
   std::uint64_t gather_nodes = 0;
   std::uint64_t gather_edges = 0;
   std::uint64_t words_ord = 0;
+
+  void add(const Tallies& o) {
+    sum_tree_edges += o.sum_tree_edges;
+    max_tree_edges = std::max(max_tree_edges, o.max_tree_edges);
+    batches += o.batches;
+    gather_nodes += o.gather_nodes;
+    gather_edges += o.gather_edges;
+    words_ord += o.words_ord;
+  }
 };
 
-/// Runs `body(rank)` on one thread per rank and rethrows the first captured
-/// exception after all threads joined (the join doubles as the phase
-/// barrier the memory-ordering argument in transport.hpp relies on).
-void run_ranks(std::size_t ranks, const std::function<void(std::size_t)>& body) {
-  std::vector<std::exception_ptr> errors(ranks);
-  std::vector<std::thread> threads;
-  threads.reserve(ranks);
-  for (std::size_t rank = 0; rank < ranks; ++rank) {
-    threads.emplace_back([&, rank] {
-      try {
-        body(rank);
-      } catch (...) {
-        errors[rank] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
+/// One pool worker's O(n) scratch plus its tallies.
+struct WorkerState {
+  explicit WorkerState(std::size_t n) : scout(n), gather(n) {}
+
+  BallScout scout;
+  BallGather gather;
+  std::vector<EdgeId> ids;
+  Tallies tally;
+};
+
+/// Scouts, gathers and builds one cluster, ORing every tree into `shared`.
+void build_cluster(const Graph& g, std::span<const NodeId> cluster, Dist ball_depth,
+                   const MakeTree& make_tree, const TreeVisitor& visit, AtomicBitset& shared,
+                   WorkerState& ws) {
+  ws.scout.run(g, cluster, ball_depth);
+  ws.gather.gather(g, ws.scout.touched());
+  // The builder's scratch is sized by the LOCAL node count, so building it
+  // per cluster costs O(|union ball|) rather than O(n).
+  DomTreeBuilder builder(ws.gather.local());
+  Tallies& t = ws.tally;
+  ++t.batches;
+  t.gather_nodes += ws.gather.members().size();
+  t.gather_edges += ws.gather.local().num_edges();
+  for (const NodeId root : cluster) {
+    const RootedTree tree = make_tree(builder, ws.gather.local_id(root));
+    ws.ids.clear();
+    for (const NodeId v : tree.nodes()) {
+      if (v == tree.root()) continue;
+      // The builders record each node's parent edge id at attach time, so
+      // the union needs no adjacency search per tree edge.
+      const EdgeId local_edge = tree.parent_edge(v);
+      REMSPAN_CHECK(local_edge != kInvalidEdge);
+      ws.ids.push_back(ws.gather.global_edge(local_edge));
+    }
+    t.sum_tree_edges += ws.ids.size();
+    t.max_tree_edges = std::max(t.max_tree_edges, ws.ids.size());
+    // One tree's bits merge into plain masks first: one atomic RMW per
+    // touched word keeps contention off the hot loop.
+    t.words_ord += shared.or_batch(ws.ids);
+    if (visit) visit(root, tree, ws.gather);
   }
 }
 
 }  // namespace
 
-EdgeSet sharded_union_of_trees(
-    const Graph& g, Dist ball_depth,
-    const std::function<RootedTree(DomTreeBuilder&, NodeId)>& make_tree,
-    const ShardConfig& config, SpannerBuildInfo* info, WordExchange* exchange) {
-  REMSPAN_CHECK(config.sharded());
-  obs::PhaseSpan span("shard.union_of_trees");
+EdgeSet cluster_union_of_trees(const Graph& g, Dist ball_depth, const MakeTree& make_tree,
+                               const ShardConfig& config, SpannerBuildInfo* info,
+                               const TreeVisitor& visit) {
+  obs::PhaseSpan span("core.union_of_trees");
+  ThreadPool& pool = ThreadPool::global();
+  const std::size_t cap = config.num_shards == 0 ? pool.concurrency() : config.num_shards;
+  detail::check_shard_limits(g.num_nodes(), g.num_edges(), cap);
 
-  const ShardPlan plan = ShardPlan::make(g, config);
-  const std::size_t ranks = plan.num_shards();
-  const std::size_t batch_size = std::max<std::size_t>(1, config.batch_roots);
+  const std::size_t batch = std::max<std::size_t>(1, config.batch_roots);
+  const std::vector<NodeId> order = locality_root_order(g, batch);
+  const std::size_t clusters = (order.size() + batch - 1) / batch;
+  AtomicBitset shared(g.num_edges());
+  std::vector<std::unique_ptr<WorkerState>> states(pool.concurrency());
 
-  InProcessExchange default_exchange(ranks);
-  WordExchange& ex = exchange != nullptr ? *exchange : default_exchange;
-  REMSPAN_CHECK(ex.num_ranks() == ranks);
-
-  // Level-1 accumulators: one full-width bitset per rank. unique_ptr keeps
-  // AtomicBitset's non-movable words out of vector reallocation trouble.
-  std::vector<std::unique_ptr<AtomicBitset>> rank_bits(ranks);
-  for (auto& bits : rank_bits) bits = std::make_unique<AtomicBitset>(g.num_edges());
-  std::vector<RankStats> stats(ranks);
-
-  run_ranks(ranks, [&](std::size_t rank) {
-    BallScout scout(g.num_nodes());
-    BallGather gather(g.num_nodes());
-    std::vector<EdgeId> ids;
-    RankStats& rs = stats[rank];
-    const auto roots = plan.roots(rank);
-    for (std::size_t begin = 0; begin < roots.size(); begin += batch_size) {
-      const auto batch = roots.subspan(begin, std::min(batch_size, roots.size() - begin));
-      scout.run(g, batch, ball_depth);
-      gather.gather(g, scout.touched());
-      // The builder's scratch is sized by the LOCAL node count, so building
-      // it per batch costs O(|union ball|) — the flat engine pays O(n) per
-      // worker once, but then walks the full-size graph for every root.
-      DomTreeBuilder builder(gather.local());
-      ++rs.batches;
-      rs.gather_nodes += gather.members().size();
-      rs.gather_edges += gather.local().num_edges();
-      for (const NodeId root : batch) {
-        const RootedTree tree = make_tree(builder, gather.local_id(root));
-        ids.clear();
-        for (const NodeId v : tree.nodes()) {
-          if (v == tree.root()) continue;
-          const EdgeId local_edge = tree.parent_edge(v);
-          REMSPAN_CHECK(local_edge != kInvalidEdge);
-          ids.push_back(gather.global_edge(local_edge));
+  // One lane per permitted worker; a lane keeps claiming the next unbuilt
+  // cluster until none is left, so the load balances at cluster grain
+  // whatever the clusters' ball sizes.
+  std::atomic<std::size_t> next{0};
+  const std::size_t lanes = std::min({cap, pool.concurrency(), clusters});
+  pool.parallel_for_workers(
+      0, lanes,
+      [&](std::size_t /*lane*/, std::size_t worker) {
+        try {
+          for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed); c < clusters;
+               c = next.fetch_add(1, std::memory_order_relaxed)) {
+            std::unique_ptr<WorkerState>& ws = states[worker];
+            if (ws == nullptr) ws = std::make_unique<WorkerState>(g.num_nodes());
+            const std::size_t begin = c * batch;
+            const std::span<const NodeId> cluster(order.data() + begin,
+                                                  std::min(batch, order.size() - begin));
+            build_cluster(g, cluster, ball_depth, make_tree, visit, shared, *ws);
+          }
+        } catch (...) {
+          next.store(clusters, std::memory_order_relaxed);  // other lanes stop claiming
+          throw;
         }
-        rs.sum_tree_edges += ids.size();
-        rs.max_tree_edges = std::max(rs.max_tree_edges, ids.size());
-        rs.words_ord += rank_bits[rank]->or_batch(ids);
-      }
-    }
-    ex.publish(rank, *rank_bits[rank]);
-  });
+      },
+      1);
 
-  // Level 2: every rank OR-reduces its owned word span into a disjoint
-  // slice of the final word array. The join above ordered all publishes
-  // (and all level-1 stores) before these reads.
-  std::vector<std::uint64_t> merged(plan.num_words(), 0);
-  run_ranks(ranks, [&](std::size_t rank) {
-    const auto [word_begin, word_end] = plan.word_span(rank);
-    ex.gather_or(word_begin, word_end,
-                 std::span(merged).subspan(word_begin, word_end - word_begin));
-  });
+  EdgeSet spanner(g, shared.snapshot());
 
-  EdgeSet spanner(g, DynamicBitset::from_words(g.num_edges(), std::move(merged)));
-
-  RankStats total;
-  for (const RankStats& rs : stats) {
-    total.sum_tree_edges += rs.sum_tree_edges;
-    total.max_tree_edges = std::max(total.max_tree_edges, rs.max_tree_edges);
-    total.batches += rs.batches;
-    total.gather_nodes += rs.gather_nodes;
-    total.gather_edges += rs.gather_edges;
-    total.words_ord += rs.words_ord;
+  Tallies total;
+  for (const auto& ws : states) {
+    if (ws != nullptr) total.add(ws->tally);
   }
   if (info != nullptr) {
     info->sum_tree_edges = total.sum_tree_edges;
@@ -132,15 +129,13 @@ EdgeSet sharded_union_of_trees(
     info->build_seconds = span.seconds();
   }
   if (obs::Registry* m = obs::metrics()) {
-    m->counter("shard.builds").add(1);
-    m->counter("shard.ranks").add(ranks);
-    m->counter("shard.trees").add(g.num_nodes());
+    m->counter("union.builds").add(1);
+    m->counter("union.trees").add(g.num_nodes());
+    m->counter("union.words_ord").add(total.words_ord);
+    m->counter("union.spanner_edges").add(spanner.size());
     m->counter("shard.batches").add(total.batches);
     m->counter("shard.gather_nodes").add(total.gather_nodes);
     m->counter("shard.gather_edges").add(total.gather_edges);
-    m->counter("shard.words_ord").add(total.words_ord);
-    m->counter("shard.words_exchanged").add(plan.num_words() * ranks);
-    m->counter("shard.spanner_edges").add(spanner.size());
   }
   return spanner;
 }

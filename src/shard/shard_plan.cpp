@@ -1,7 +1,5 @@
 #include "shard/shard_plan.hpp"
 
-#include <algorithm>
-
 namespace remspan {
 
 namespace detail {
@@ -47,31 +45,6 @@ std::vector<NodeId> locality_root_order(const Graph& g, std::size_t cluster_size
     }
   }
   return order;
-}
-
-ShardPlan ShardPlan::make(const Graph& g, const ShardConfig& config) {
-  const std::size_t shards = config.num_shards == 0 ? 1 : config.num_shards;
-  detail::check_shard_limits(g.num_nodes(), g.num_edges(), shards);
-
-  const std::size_t batch = config.batch_roots == 0 ? 1 : config.batch_roots;
-  ShardPlan plan;
-  plan.order_ = locality_root_order(g, batch);
-  plan.num_words_ = (g.num_edges() + 63) / 64;
-  plan.root_offsets_.resize(shards + 1);
-  plan.word_offsets_.resize(shards + 1);
-  const std::size_t n = plan.order_.size();
-  for (std::size_t s = 0; s <= shards; ++s) {
-    // Root spans balanced to the nearest cluster multiple, so the engine's
-    // frontier batches coincide with the compact clusters of the order
-    // (imbalance <= one batch; tiny graphs may leave low ranks empty, which
-    // the engine handles). Word spans stay balanced within one word.
-    const std::size_t raw = n * s / shards;
-    plan.root_offsets_[s] = std::min(n, (raw + batch / 2) / batch * batch);
-    plan.word_offsets_[s] = plan.num_words_ * s / shards;
-  }
-  plan.root_offsets_[0] = 0;
-  plan.root_offsets_[shards] = n;
-  return plan;
 }
 
 }  // namespace remspan

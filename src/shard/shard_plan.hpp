@@ -1,22 +1,15 @@
-// Partitioning math for the sharded spanner engine (shard_engine.hpp):
-// which roots and which edge-bitset words each shard rank owns.
-//
-// A ShardPlan decorates two resources with an owning rank, following the
-// distributed-ranges local-span idiom: (a) the build roots, partitioned as
-// contiguous spans of a locality order (a deterministic whole-graph BFS
-// order, so consecutive roots have overlapping balls and the per-shard
-// frontier batches actually reuse adjacency); and (b) the words of the
-// global edge bitset, partitioned as contiguous word ranges for the
-// inter-shard merge (each rank owns the final value of its word span).
+// Scheduling math for the spanner build engine (shard_engine.hpp): the
+// execution knobs, their overflow guards, and the locality order whose
+// bounded BFS clusters the engine's pool workers claim one at a time.
 //
 // Root ordering is a pure scheduling choice: every root's dominating tree
 // is a function of (graph, root) alone and the spanner union is a
-// commutative bitset OR, so ANY root order and ANY shard count produce the
-// same spanner bit-for-bit (tests/test_shard_equivalence.cpp pins this).
+// commutative bitset OR, so ANY root order, cluster size and worker count
+// produce the same spanner bit-for-bit (tests/test_shard_equivalence.cpp
+// pins this).
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -24,34 +17,29 @@
 
 namespace remspan {
 
-/// Execution knobs of the sharded build engine. The default (one shard) is
-/// the flat engine of core/remote_spanner.cpp, byte-identical to every
-/// build shipped before sharding existed; num_shards >= 2 routes to the
-/// sharded engine, whose output is bit-exact equal by construction.
+/// Execution knobs of the build engine. Neither changes a single output
+/// bit; they trade memory traffic against parallelism.
 struct ShardConfig {
-  /// Shard (rank) count. 0 and 1 both mean the flat single-address-space
-  /// engine; >= 2 spawns one build thread per shard.
-  std::size_t num_shards = 1;
-  /// Roots per frontier batch inside one shard: each batch does one
-  /// multi-root scout sweep + one compact-subgraph gather (ball_gather.hpp)
-  /// and then builds every tree of the batch against the gathered subgraph.
+  /// Cap on the ThreadPool::global() workers that claim clusters. 0 (the
+  /// default) lets the whole pool (its threads plus the calling thread)
+  /// work; larger caps than the pool provides are clamped to it.
+  std::size_t num_shards = 0;
+  /// Roots per cluster: each cluster does one multi-root scout sweep + one
+  /// compact-subgraph gather (ball_gather.hpp) and then builds every tree
+  /// of the cluster against the gathered subgraph.
   std::size_t batch_roots = 128;
-
-  /// True when the sharded engine (rather than the flat one) runs.
-  [[nodiscard]] bool sharded() const noexcept { return num_shards >= 2; }
 };
 
-/// Hard ceiling on the rank count: far beyond any sensible thread or
-/// process fleet, but low enough that a corrupted config cannot ask for
-/// millions of threads.
+/// Hard ceiling on the worker cap: far beyond any sensible thread count,
+/// but low enough that a corrupted config is rejected loudly.
 inline constexpr std::size_t kMaxShards = 4096;
 
 namespace detail {
-/// Overflow guards for a sharded build: node and edge counts must fit the
-/// 32-bit NodeId/EdgeId index types (kInvalid* are sentinels, hence the
-/// strict bound) and the shard count must be in [1, kMaxShards]. Checked
-/// before any allocation so a 10^7-node (or larger) build fails loudly
-/// instead of silently wrapping an index.
+/// Overflow guards for a build: node and edge counts must fit the 32-bit
+/// NodeId/EdgeId index types (kInvalid* are sentinels, hence the strict
+/// bound) and the worker cap must be in [1, kMaxShards]. Checked before
+/// any allocation so a 10^7-node (or larger) build fails loudly instead of
+/// silently wrapping an index.
 void check_shard_limits(std::size_t nodes, std::size_t edges, std::size_t shards);
 }  // namespace detail
 
@@ -61,40 +49,9 @@ void check_shard_limits(std::size_t nodes, std::size_t edges, std::size_t shards
 /// plain per-component BFS), so every cluster is a compact blob rather
 /// than a stretch of a whole-graph BFS frontier ring. Batching one
 /// cluster's roots therefore yields heavily overlapping balls — this is
-/// what makes the shard batches a ball-reuse win instead of a plain
+/// what makes the engine's gathers a ball-reuse win instead of a plain
 /// parallel split. Pure function of (graph, cluster_size).
 [[nodiscard]] std::vector<NodeId> locality_root_order(const Graph& g,
                                                       std::size_t cluster_size = 0);
-
-/// The rank-decorated partition: contiguous root spans over the locality
-/// order and contiguous word spans over the edge bitset.
-class ShardPlan {
- public:
-  [[nodiscard]] static ShardPlan make(const Graph& g, const ShardConfig& config);
-
-  [[nodiscard]] std::size_t num_shards() const noexcept { return root_offsets_.size() - 1; }
-
-  /// Total words of the global edge bitset ((num_edges + 63) / 64).
-  [[nodiscard]] std::size_t num_words() const noexcept { return num_words_; }
-
-  /// The roots rank `shard` builds trees for, in locality order.
-  [[nodiscard]] std::span<const NodeId> roots(std::size_t shard) const {
-    REMSPAN_CHECK(shard + 1 < root_offsets_.size());
-    return {order_.data() + root_offsets_[shard], order_.data() + root_offsets_[shard + 1]};
-  }
-
-  /// The half-open word range [first, second) of the global edge bitset
-  /// whose final value rank `shard` owns in the inter-shard merge.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> word_span(std::size_t shard) const {
-    REMSPAN_CHECK(shard + 1 < word_offsets_.size());
-    return {word_offsets_[shard], word_offsets_[shard + 1]};
-  }
-
- private:
-  std::vector<NodeId> order_;          // locality order of all n roots
-  std::vector<std::size_t> root_offsets_;  // shard s owns order_[off[s], off[s+1])
-  std::vector<std::size_t> word_offsets_;  // shard s owns words [off[s], off[s+1])
-  std::size_t num_words_ = 0;
-};
 
 }  // namespace remspan

@@ -143,14 +143,6 @@ class AtomicBitset {
     return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1u;
   }
 
-  /// Relaxed load of one backing word. Like snapshot(), only meaningful
-  /// after the writing phase has been joined — the inter-shard merge
-  /// (src/shard/transport.hpp) reads rank-local bitsets word-by-word
-  /// through this instead of materializing S full snapshots.
-  [[nodiscard]] std::uint64_t word(std::size_t i) const noexcept {
-    return words_[i].load(std::memory_order_relaxed);
-  }
-
   /// Copies the current words into a plain DynamicBitset. Only meaningful
   /// after the writing phase has been joined (see class comment).
   [[nodiscard]] DynamicBitset snapshot() const {

@@ -170,7 +170,7 @@ TEST(RemoteSpanner, CompleteGraphNeedsOnlyStars) {
 }
 
 TEST(RemoteSpanner, RecordedParentEdgeIdsMatchAdjacencySearch) {
-  // union_of_trees consumes the parent edge ids the builders record at
+  // The union engine consumes the parent edge ids the builders record at
   // attach time instead of calling Graph::find_edge per tree edge; the two
   // must agree on every tree any of the four algorithms produces.
   Rng rng(323);

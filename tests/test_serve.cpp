@@ -312,6 +312,41 @@ TEST(ServeService, RejectedBatchesChangeNothing) {
   EXPECT_EQ(service.snapshot(id)->epoch(), 0u);  // nothing was accepted
 }
 
+/// A batch with an id the tenant's graph would reject bounces at submit,
+/// before any state changes; the tenant keeps draining and publishing.
+/// (Accepting it used to wedge every later flush of the tenant.)
+TEST(ServeService, InvalidEventIdsRejectedBeforeAnyStateChange) {
+  const Graph g = equivalence_family(0, 1);
+  const NodeId n = g.num_nodes();
+  SpannerService service(sync_config());
+  const TenantId id = service.open_tenant(g, "th2?k=1");
+  const auto fingerprint = [&] {
+    const TenantStats s = service.tenant_stats(id);
+    return std::vector<std::uint64_t>{s.epoch,           s.graph_version,   s.queue_depth,
+                                      s.events_submitted, s.events_accepted, s.events_coalesced,
+                                      s.events_applied,  s.batches_applied, s.rejected_retry_after,
+                                      s.rejected_overloaded, s.spanner_edges};
+  };
+  const auto before = fingerprint();
+  const std::uint64_t pending_before = service.stats().queue_depth;
+  const std::vector<std::vector<GraphEvent>> bad = {
+      {GraphEvent::edge_up(0, 1), GraphEvent::edge_up(0, n + 5)},
+      {GraphEvent::node_down(n)},
+      {GraphEvent::edge_down(2, 2)},
+  };
+  for (const auto& events : bad) {
+    EXPECT_THROW((void)service.submit(id, events), ServiceError);
+    EXPECT_EQ(fingerprint(), before);
+    EXPECT_EQ(service.stats().queue_depth, pending_before);
+  }
+
+  const GraphEvent valid[] = {GraphEvent::edge_down(g.edge(0).u, g.edge(0).v)};
+  EXPECT_EQ(service.submit(id, valid), Admission::kAccepted);
+  service.flush(id);
+  EXPECT_EQ(service.snapshot(id)->epoch(), 1u);
+  EXPECT_EQ(service.tenant_stats(id).events_applied, 1u);
+}
+
 TEST(ServeService, TenantCapacityAndUnknownIds) {
   const Graph g = equivalence_family(1, 2);
   ServiceConfig cfg = sync_config();

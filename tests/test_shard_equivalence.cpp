@@ -1,15 +1,19 @@
-// Shard-count invariance: the sharded engine (src/shard) must be
-// indistinguishable from the flat engine at every shard count — the same
-// spanner bit-for-bit, the same per-root trees, the same aggregate stats —
-// across the shared equivalence corpus and all four tree algorithms. This
-// is the contract that makes ShardConfig a pure execution knob: S is
-// allowed to change memory traffic and thread count, never a single bit of
-// output. Also covered: the ShardPlan partition math, the BallScout /
-// BallGather compact-subgraph machinery the engine builds on, and (under
-// TSan, see the CI regex) the two-level inter-shard merge.
+// Execution invariance of the one build engine (src/shard): every
+// union-of-trees build must equal a sequential whole-graph reference — one
+// DomTreeBuilder(g) over every root, unioned — bit-for-bit, with the same
+// aggregate stats, for every cluster size and worker cap, across the shared
+// equivalence corpus and all four tree algorithms. This is the contract
+// that makes ShardConfig a pure execution knob. Also covered: the locality
+// order, the BallScout / BallGather compact-subgraph machinery the engine
+// builds on, the per-tree visitor, the failure path (a throwing tree build
+// rethrows on the caller and leaves the pool usable) and, under TSan (see
+// the CI regex), pool workers or_batch-ing into the one shared bitset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,40 +24,59 @@
 #include "shard/ball_gather.hpp"
 #include "shard/shard_engine.hpp"
 #include "shard/shard_plan.hpp"
-#include "shard/transport.hpp"
 #include "support/corpus.hpp"
 #include "util/rng.hpp"
 
 namespace remspan {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 3, 8};
+constexpr std::size_t kWorkerCaps[] = {1, 2, 3, 0};
 
-ShardConfig sharded(std::size_t s, std::size_t batch = 128) {
+ShardConfig engine_config(std::size_t cap, std::size_t batch) {
   ShardConfig config;
-  config.num_shards = s;
+  config.num_shards = cap;
   config.batch_roots = batch;
   return config;
 }
 
-/// Builds with the flat engine and with every shard count, requiring the
-/// exact same edge set and the exact same aggregate stats each time.
-void expect_shard_invariant(
-    const Graph& g, const std::string& label,
+/// The test oracle: every root's tree built sequentially against the whole
+/// graph and unioned, with no clusters, gathers or threads.
+EdgeSet reference_union(const Graph& g, const MakeTree& make_tree, SpannerBuildInfo* info) {
+  DomTreeBuilder builder(g);
+  EdgeSet spanner(g);
+  for (NodeId root = 0; root < g.num_nodes(); ++root) {
+    const RootedTree tree = make_tree(builder, root);
+    std::size_t edges = 0;
+    for (const NodeId v : tree.nodes()) {
+      if (v == tree.root()) continue;
+      spanner.insert(tree.parent_edge(v));
+      ++edges;
+    }
+    info->sum_tree_edges += edges;
+    info->max_tree_edges = std::max(info->max_tree_edges, edges);
+  }
+  return spanner;
+}
+
+/// Builds through `build` at every cluster size x worker cap, requiring the
+/// reference's exact edge set and aggregate stats each time.
+void expect_matches_reference(
+    const Graph& g, const std::string& label, const MakeTree& make_tree,
     const std::function<EdgeSet(const ShardConfig&, SpannerBuildInfo*)>& build) {
-  SpannerBuildInfo flat_info;
-  const EdgeSet flat = build(ShardConfig{}, &flat_info);
-  for (const std::size_t s : kShardCounts) {
-    // A batch size smaller than the shard's root span forces multiple
-    // gather rounds per shard — the interesting path.
-    for (const std::size_t batch : {std::size_t{4}, std::size_t{128}}) {
+  SpannerBuildInfo ref_info;
+  const EdgeSet ref = reference_union(g, make_tree, &ref_info);
+  // Cluster size 1 gathers one ball per root, 4 forces many gathers per
+  // worker, 128 is the default and n puts every root into one cluster.
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{128},
+                                  std::size_t{g.num_nodes()}}) {
+    for (const std::size_t cap : kWorkerCaps) {
       SpannerBuildInfo info;
-      const EdgeSet got = build(sharded(s, batch), &info);
-      const std::string at = label + " S=" + std::to_string(s) +
-                             " batch=" + std::to_string(batch);
-      EXPECT_TRUE(got == flat) << at << ": spanner differs";
-      EXPECT_EQ(info.sum_tree_edges, flat_info.sum_tree_edges) << at;
-      EXPECT_EQ(info.max_tree_edges, flat_info.max_tree_edges) << at;
+      const EdgeSet got = build(engine_config(cap, batch), &info);
+      const std::string at =
+          label + " cap=" + std::to_string(cap) + " batch=" + std::to_string(batch);
+      EXPECT_TRUE(got == ref) << at << ": spanner differs";
+      EXPECT_EQ(info.sum_tree_edges, ref_info.sum_tree_edges) << at;
+      EXPECT_EQ(info.max_tree_edges, ref_info.max_tree_edges) << at;
     }
   }
 }
@@ -110,31 +133,13 @@ TEST(ShardPlan, ClusteredOrderIsAPermutationOfCompactBlobs) {
   }
 }
 
-TEST(ShardPlan, SpansPartitionRootsAndWords) {
-  const Graph g = testsupport::equivalence_family(0, 3);
-  for (const std::size_t s : {1, 2, 3, 8, 17}) {
-    const ShardPlan plan = ShardPlan::make(g, sharded(std::max<std::size_t>(s, 1)));
-    ASSERT_EQ(plan.num_shards(), s);
-    std::size_t roots = 0;
-    std::size_t prev_word_end = 0;
-    for (std::size_t rank = 0; rank < s; ++rank) {
-      roots += plan.roots(rank).size();
-      const auto [word_begin, word_end] = plan.word_span(rank);
-      EXPECT_EQ(word_begin, prev_word_end) << "gap before rank " << rank;
-      EXPECT_LE(word_end - word_begin,
-                plan.num_words() / s + 1);  // balanced within one word
-      prev_word_end = word_end;
-    }
-    EXPECT_EQ(roots, g.num_nodes());
-    EXPECT_EQ(prev_word_end, plan.num_words());
-    EXPECT_EQ(plan.num_words(), (g.num_edges() + 63) / 64);
-  }
-}
-
 TEST(ShardPlan, RejectsOutOfRangeShardCounts) {
   const Graph g = testsupport::equivalence_family(1, 1);
-  EXPECT_THROW(ShardPlan::make(g, sharded(kMaxShards + 1)), CheckError);
-  EXPECT_NO_THROW(ShardPlan::make(g, sharded(kMaxShards)));
+  EXPECT_THROW((void)build_k_connecting_spanner(g, 1, nullptr, engine_config(kMaxShards + 1, 128)),
+               CheckError);
+  // A cap beyond the pool is clamped to it, not rejected.
+  EXPECT_TRUE(build_k_connecting_spanner(g, 1, nullptr, engine_config(kMaxShards, 128)) ==
+              build_k_connecting_spanner(g, 1));
 }
 
 TEST(ShardPlan, OverflowGuardsRejectSentinelSizedUniverses) {
@@ -212,7 +217,7 @@ TEST(ShardGather, LocalTreesMatchGlobalTreesAcrossCorpus) {
     DomTreeBuilder global_builder(g);
     BallScout scout(g.num_nodes());
     BallGather gather(g.num_nodes());
-    // A small batch of nearby roots, like one engine frontier batch.
+    // A small batch of nearby roots, like one engine cluster.
     std::vector<NodeId> batch;
     for (NodeId u = 0; u < g.num_nodes() && batch.size() < 6; u += 2) batch.push_back(u);
 
@@ -244,39 +249,6 @@ TEST(ShardGather, LocalTreesMatchGlobalTreesAcrossCorpus) {
   }
 }
 
-// --- transport ------------------------------------------------------------
-
-TEST(ShardExchange, GatherOrReducesAcrossRanks) {
-  AtomicBitset a(200);
-  AtomicBitset b(200);
-  a.set(0);
-  a.set(64);
-  b.set(64);
-  b.set(199);
-  InProcessExchange ex(2);
-  ex.publish(0, a);
-  ex.publish(1, b);
-  std::vector<std::uint64_t> words(4, ~std::uint64_t{0});  // gather must overwrite
-  ex.gather_or(0, 4, words);
-  EXPECT_EQ(words[0], std::uint64_t{1});
-  EXPECT_EQ(words[1], std::uint64_t{1});
-  EXPECT_EQ(words[2], 0u);
-  EXPECT_EQ(words[3], std::uint64_t{1} << 7);  // bit 199 = word 3, bit 7
-  // Partial spans see the same values.
-  std::vector<std::uint64_t> tail(2);
-  ex.gather_or(2, 4, tail);
-  EXPECT_EQ(tail[0], 0u);
-  EXPECT_EQ(tail[1], std::uint64_t{1} << 7);
-}
-
-TEST(ShardExchange, RejectsDoublePublishAndRankOverflow) {
-  AtomicBitset bits(64);
-  InProcessExchange ex(1);
-  ex.publish(0, bits);
-  EXPECT_THROW(ex.publish(0, bits), CheckError);
-  EXPECT_THROW(ex.publish(1, bits), CheckError);
-}
-
 // --- engine invariance ----------------------------------------------------
 
 TEST(ShardEquivalence, GreedySpannersBitExactAcrossShardCounts) {
@@ -285,10 +257,11 @@ TEST(ShardEquivalence, GreedySpannersBitExactAcrossShardCounts) {
       const Graph g = testsupport::equivalence_family(which, 6000 * seed + which);
       for (const Dist r : testsupport::kGreedyRadii) {
         for (const Dist beta : testsupport::kGreedyBetas) {
-          expect_shard_invariant(
+          expect_matches_reference(
               g,
               "greedy family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                   " r=" + std::to_string(r) + " beta=" + std::to_string(beta),
+              [&](DomTreeBuilder& b, NodeId u) { return b.greedy(u, r, beta); },
               [&](const ShardConfig& shards, SpannerBuildInfo* info) {
                 return build_remote_spanner(g, r, beta, TreeAlgorithm::kGreedy, info, shards);
               });
@@ -303,10 +276,11 @@ TEST(ShardEquivalence, MisSpannersBitExactAcrossShardCounts) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       const Graph g = testsupport::equivalence_family(which, 7000 * seed + which);
       for (const Dist r : testsupport::kMisRadii) {
-        expect_shard_invariant(
+        expect_matches_reference(
             g,
             "mis family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                 " r=" + std::to_string(r),
+            [&](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); },
             [&](const ShardConfig& shards, SpannerBuildInfo* info) {
               return build_remote_spanner(g, r, 1, TreeAlgorithm::kMis, info, shards);
             });
@@ -320,10 +294,11 @@ TEST(ShardEquivalence, GreedyKSpannersBitExactAcrossShardCounts) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       const Graph g = testsupport::equivalence_family(which, 8000 * seed + which);
       for (const Dist k : testsupport::kGreedyKs) {
-        expect_shard_invariant(
+        expect_matches_reference(
             g,
             "greedy_k family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                 " k=" + std::to_string(k),
+            [&](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, k); },
             [&](const ShardConfig& shards, SpannerBuildInfo* info) {
               return build_k_connecting_spanner(g, k, info, shards);
             });
@@ -337,10 +312,11 @@ TEST(ShardEquivalence, MisKSpannersBitExactAcrossShardCounts) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       const Graph g = testsupport::equivalence_family(which, 9000 * seed + which);
       for (const Dist k : testsupport::kMisKs) {
-        expect_shard_invariant(
+        expect_matches_reference(
             g,
             "mis_k family=" + std::to_string(which) + " seed=" + std::to_string(seed) +
                 " k=" + std::to_string(k),
+            [&](DomTreeBuilder& b, NodeId u) { return b.mis_k(u, k); },
             [&](const ShardConfig& shards, SpannerBuildInfo* info) {
               return build_2connecting_spanner(g, k, info, shards);
             });
@@ -353,33 +329,65 @@ TEST(ShardEquivalence, MisKSpannersBitExactAcrossShardCounts) {
 /// low-stretch front-end: the dispatch path a production caller takes.
 TEST(ShardEquivalence, LowStretchUdgBitExactThroughFrontEnd) {
   const Graph g = testsupport::observability_graph(42);
-  expect_shard_invariant(g, "th1 udg",
-                         [&](const ShardConfig& shards, SpannerBuildInfo* info) {
-                           return build_low_stretch_remote_spanner(
-                               g, 0.5, TreeAlgorithm::kMis, info, shards);
-                         });
+  const Dist r = domination_radius_for_eps(0.5);
+  expect_matches_reference(
+      g, "th1 udg", [r](DomTreeBuilder& b, NodeId u) { return b.mis(u, r); },
+      [&](const ShardConfig& shards, SpannerBuildInfo* info) {
+        return build_low_stretch_remote_spanner(g, 0.5, TreeAlgorithm::kMis, info, shards);
+      });
 }
 
-/// The merge under an externally supplied exchange: same bits as the
-/// default in-process exchange (exercises the transport seam directly).
-TEST(ShardEquivalence, ExternalExchangeMatchesDefault) {
-  const Graph g = testsupport::equivalence_family(3, 21);
+/// The visitor sees every root exactly once, and translating its local tree
+/// through the gather reproduces the whole-graph tree's node pairs.
+TEST(ShardEquivalence, VisitorSeesEveryWholeGraphTreeOnce) {
+  const Graph g = testsupport::equivalence_family(3, 33);
+  DomTreeBuilder global_builder(g);
+  std::vector<std::vector<Edge>> seen(g.num_nodes());
+  std::vector<std::atomic<int>> visits(g.num_nodes());
   const auto make_tree = [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 2); };
-  const EdgeSet flat = build_k_connecting_spanner(g, 2);
-
-  InProcessExchange ex(3);
-  const EdgeSet got = sharded_union_of_trees(g, 2, make_tree, sharded(3), nullptr, &ex);
-  EXPECT_TRUE(got == flat);
-  // A rank-count mismatch between config and exchange is rejected.
-  InProcessExchange wrong(2);
-  EXPECT_THROW(sharded_union_of_trees(g, 2, make_tree, sharded(3), nullptr, &wrong),
-               CheckError);
+  (void)cluster_union_of_trees(
+      g, 2, make_tree, engine_config(0, 4), nullptr,
+      [&](NodeId root, const RootedTree& tree, const BallGather& gather) {
+        visits[root].fetch_add(1);
+        for (const NodeId v : tree.nodes()) {
+          if (v == tree.root()) continue;
+          seen[root].push_back(make_edge(gather.global_id(v), gather.global_id(tree.parent(v))));
+        }
+      });
+  for (NodeId root = 0; root < g.num_nodes(); ++root) {
+    ASSERT_EQ(visits[root].load(), 1) << "root " << root;
+    std::vector<Edge> want;
+    const RootedTree tree = make_tree(global_builder, root);
+    for (const NodeId v : tree.nodes()) {
+      if (v != tree.root()) want.push_back(make_edge(v, tree.parent(v)));
+    }
+    EXPECT_EQ(seen[root], want) << "root " << root;
+  }
 }
 
-TEST(ShardEquivalence, EngineRequiresShardedConfig) {
-  const Graph g = testsupport::equivalence_family(5, 1);
+/// The failure path: a tree build that throws mid-build surfaces on the
+/// calling thread (never terminates a pool worker), and the same pool runs
+/// the next build to the correct result.
+TEST(ShardEquivalence, ThrowingTreeRethrowsOnCallerAndPoolRecovers) {
+  const Graph g = testsupport::observability_graph(7);
   const auto make_tree = [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 1); };
-  EXPECT_THROW(sharded_union_of_trees(g, 2, make_tree, ShardConfig{}), CheckError);
+  SpannerBuildInfo ref_info;
+  const EdgeSet ref = reference_union(g, make_tree, &ref_info);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{g.num_nodes() / 2},
+                              std::size_t{g.num_nodes() - 1}}) {
+    std::atomic<std::size_t> calls{0};
+    const auto failing = [&](DomTreeBuilder& b, NodeId u) {
+      if (calls.fetch_add(1) == k) throw std::runtime_error("tree build failed");
+      return b.greedy_k(u, 1);
+    };
+    EXPECT_THROW((void)cluster_union_of_trees(g, 2, failing, engine_config(0, 4)),
+                 std::runtime_error)
+        << "k=" << k;
+    SpannerBuildInfo info;
+    EXPECT_TRUE(build_k_connecting_spanner(g, 1, &info, engine_config(0, 4)) == ref)
+        << "k=" << k;
+    EXPECT_EQ(info.sum_tree_edges, ref_info.sum_tree_edges);
+  }
 }
 
 }  // namespace
