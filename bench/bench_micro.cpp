@@ -184,18 +184,31 @@ void BM_DisjointPathsOracle(benchmark::State& state) {
 BENCHMARK(BM_DisjointPathsOracle)->Unit(benchmark::kMillisecond);
 
 void BM_ObsCounterHot(benchmark::State& state) {
-  // Price of one counter bump with a registry installed — what the drained
-  // per-call tallies pay per publish when a sink is live.
+  // Price of one id-indexed counter write with a registry installed — the
+  // sink load, the thread-local slab lookup and one relaxed load/store —
+  // which every per-tree hook pays several times when a sink is live.
   obs::Registry registry;
   const obs::ScopedSinks sinks(&registry, nullptr);
-  obs::Counter& counter = registry.counter("bench.hot");
   for (auto _ : state) {
-    counter.add(1);
-    benchmark::DoNotOptimize(&counter);
+    obs::add(obs::Metric::kBfsRuns);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ObsCounterHot);
+
+// BM_SpannerBuildTh2 with the metrics registry installed: read against
+// that benchmark, it prices leaving metrics on for a whole build (every BFS
+// run and tree build publishes its tallies).
+void BM_ObsBuildSinksOn(benchmark::State& state) {
+  const Graph& g = shared_udg();
+  obs::Registry registry;
+  const obs::ScopedSinks sinks(&registry, nullptr);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_k_connecting_spanner(g, 1).size());
+  }
+}
+BENCHMARK(BM_ObsBuildSinksOn)->Unit(benchmark::kMillisecond);
 
 void BM_ObsSpanDisabled(benchmark::State& state) {
   // The disabled path the determinism contract pins: with no sinks

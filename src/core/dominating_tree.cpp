@@ -49,11 +49,12 @@ void DomTreeBuilder::publish_stats(const RootedTree& tree) {
   const std::uint64_t rekeys = std::exchange(stat_heap_rekeys_, 0);
   const std::uint64_t touches = std::exchange(stat_cover_touches_, 0);
   if (obs::Registry* m = obs::metrics()) {
-    m->counter("domtree.builds").add(1);
-    m->counter("domtree.heap_pops").add(pops);
-    m->counter("domtree.heap_rekeys").add(rekeys);
-    m->counter("domtree.cover_touches").add(touches);
-    m->histogram("domtree.tree_edges").record(tree.num_edges());
+    obs::ThreadCells& cells = m->local();
+    cells.add(obs::Metric::kDomtreeBuilds, 1);
+    cells.add(obs::Metric::kDomtreeHeapPops, pops);
+    cells.add(obs::Metric::kDomtreeHeapRekeys, rekeys);
+    cells.add(obs::Metric::kDomtreeCoverTouches, touches);
+    cells.record(obs::Metric::kDomtreeTreeEdges, tree.num_edges());
   }
 }
 

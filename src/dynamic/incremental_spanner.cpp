@@ -115,17 +115,16 @@ std::vector<NodeId> collect_dirty_roots_split(const Graph& old_graph, const Grap
   // Per-side expansion cost: how many nodes each dependency-ball sweep
   // visits is the telemetry that tells removal-heavy from insertion-heavy
   // batches apart (docs/OBSERVABILITY.md).
-  obs::Registry* m = obs::metrics();
   if (!removed_touched.empty()) {
     const std::vector<NodeId>& old_ball =
         bfs.run_multi(GraphView(old_graph), removed_touched, radius);
-    if (m != nullptr) m->counter("inc.expand_old_nodes").add(old_ball.size());
+    obs::add(obs::Metric::kIncExpandOldNodes, old_ball.size());
     for (const NodeId v : old_ball) flag[v] = 1;
   }
   if (!inserted_touched.empty()) {
     const std::vector<NodeId>& new_ball =
         bfs.run_multi(GraphView(new_graph), inserted_touched, radius);
-    if (m != nullptr) m->counter("inc.expand_new_nodes").add(new_ball.size());
+    obs::add(obs::Metric::kIncExpandNewNodes, new_ball.size());
     for (const NodeId v : new_ball) flag[v] = 1;
   }
   std::vector<NodeId> dirty;
@@ -212,7 +211,7 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
     stats.spanner_edges = spanner_.size();
     stats.seconds = span.seconds();
     version_ = stats.version;
-    if (obs::Registry* m = obs::metrics()) m->counter("inc.noop_batches").add(1);
+    obs::add(obs::Metric::kIncNoopBatches);
     return stats;
   }
   stats.removed_edges = delta.removed.size();
@@ -287,14 +286,14 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   stats.spanner_edges = spanner_.size();
   stats.seconds = span.seconds();
   if (obs::Registry* m = obs::metrics()) {
-    m->counter("inc.batches").add(1);
-    m->counter("inc.dirty_roots").add(stats.dirty_roots);
-    m->counter("inc.retired_tree_edges").add(stats.retired_tree_edges);
-    m->counter("inc.rebuilt_tree_edges").add(stats.rebuilt_tree_edges);
+    m->add(obs::Metric::kIncBatches, 1);
+    m->add(obs::Metric::kIncDirtyRoots, stats.dirty_roots);
+    m->add(obs::Metric::kIncRetiredTreeEdges, stats.retired_tree_edges);
+    m->add(obs::Metric::kIncRebuiltTreeEdges, stats.rebuilt_tree_edges);
     // Refcount churn: every retire is one fetch_sub, every rebuilt tree
     // edge one fetch_add on the shared per-edge refcounts.
-    m->counter("inc.refcount_churn").add(stats.retired_tree_edges + stats.rebuilt_tree_edges);
-    m->histogram("inc.dirty_roots_per_batch").record(stats.dirty_roots);
+    m->add(obs::Metric::kIncRefcountChurn, stats.retired_tree_edges + stats.rebuilt_tree_edges);
+    m->record(obs::Metric::kIncDirtyRootsPerBatch, stats.dirty_roots);
   }
   return stats;
 }

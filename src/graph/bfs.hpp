@@ -118,18 +118,19 @@ class BoundedBfs {
   /// (frontier occupancy). One call per run keeps the disabled path to the
   /// single branch in run_multi.
   void publish_stats(obs::Registry& m) const {
-    m.counter("bfs.runs").add(1);
-    m.counter("bfs.nodes_expanded").add(order_.size());
-    m.histogram("bfs.ball_nodes").record(order_.size());
+    obs::ThreadCells& cells = m.local();
+    cells.add(obs::Metric::kBfsRuns, 1);
+    cells.add(obs::Metric::kBfsNodesExpanded, order_.size());
+    cells.record(obs::Metric::kBfsBallNodes, order_.size());
     std::size_t widest = 0;
     for (std::size_t d = 0; d < shell_offsets_.size(); ++d) {
       const std::size_t end =
           d + 1 < shell_offsets_.size() ? shell_offsets_[d + 1] : order_.size();
       const std::size_t width = end - shell_offsets_[d];
       if (width > widest) widest = width;
-      m.histogram("bfs.shell_nodes").record(width);
+      cells.record(obs::Metric::kBfsShellNodes, width);
     }
-    m.histogram("bfs.frontier_max").record(widest);
+    cells.record(obs::Metric::kBfsFrontierMax, widest);
   }
 
   void reset() {

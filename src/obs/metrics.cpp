@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "util/json_report.hpp"
@@ -108,7 +109,63 @@ void Snapshot::append_to(BenchReport& report, const std::string& prefix) const {
   }
 }
 
+namespace {
+
+std::atomic<std::uint64_t> g_next_serial{1};
+
+bool is_catalog_name(const std::string& name) {
+  for (const MetricDef& d : kCatalog) {
+    if (d.name == name) return true;
+  }
+  return false;
+}
+
+void add_histogram(HistogramSnapshot& into, const ThreadCells::HistogramCells& h) {
+  into.count += h.count.load(std::memory_order_relaxed);
+  into.sum += h.sum.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    into.buckets[i] += h.buckets[i].load(std::memory_order_relaxed);
+  }
+}
+
+}  // namespace
+
+// Serials are never reused: a thread may still hold a cache entry naming a
+// destroyed registry's serial, and that entry must match no later one.
+Registry::Registry() : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {}
+
+ThreadCells& Registry::attach() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::thread::id self = std::this_thread::get_id();
+  auto it = slabs_.begin();
+  while (it != slabs_.end() && it->first != self) ++it;
+  if (it == slabs_.end()) {
+    slabs_.emplace_back(self, std::make_unique<ThreadCells>());
+    it = std::prev(slabs_.end());
+  }
+  detail::t_slab = {serial_, it->second.get()};
+  return *it->second;
+}
+
+std::atomic<std::int64_t>& Registry::gauge_cell(Metric id) {
+  REMSPAN_CHECK(def(id).kind == Kind::kGauge);
+  const std::size_t slot = kSlot[index(id)];
+  if (!gauge_written_[slot].load(std::memory_order_relaxed)) {
+    gauge_written_[slot].store(true, std::memory_order_relaxed);
+  }
+  return gauges_[slot];
+}
+
+void Registry::set(Metric id, std::int64_t value) {
+  gauge_cell(id).store(value, std::memory_order_relaxed);
+}
+
+void Registry::add_gauge(Metric id, std::int64_t n) {
+  gauge_cell(id).fetch_add(n, std::memory_order_relaxed);
+}
+
 Counter& Registry::counter(const std::string& name) {
+  REMSPAN_CHECK(!is_catalog_name(name));
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -116,13 +173,15 @@ Counter& Registry::counter(const std::string& name) {
 }
 
 Gauge& Registry::gauge(const std::string& name) {
+  REMSPAN_CHECK(!is_catalog_name(name));
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
+  auto& slot = gauges_by_name_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 Histogram& Registry::histogram(const std::string& name) {
+  REMSPAN_CHECK(!is_catalog_name(name));
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();
@@ -132,8 +191,35 @@ Histogram& Registry::histogram(const std::string& name) {
 Snapshot Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Snapshot out;
+  for (const MetricDef& d : kCatalog) {
+    const std::size_t slot = kSlot[index(d.id)];
+    if (d.kind == Kind::kGauge) {
+      if (gauge_written_[slot].load(std::memory_order_relaxed)) {
+        out.gauges.emplace(d.name, gauges_[slot].load(std::memory_order_relaxed));
+      }
+      continue;
+    }
+    bool written = false;
+    std::uint64_t total = 0;
+    HistogramSnapshot h;
+    for (const auto& [thread, cells] : slabs_) {
+      if (!cells->was_written(d.id)) continue;
+      written = true;
+      if (d.kind == Kind::kCounter) {
+        total += cells->counters[slot].load(std::memory_order_relaxed);
+      } else {
+        add_histogram(h, cells->histograms[slot]);
+      }
+    }
+    if (!written) continue;
+    if (d.kind == Kind::kCounter) {
+      out.counters.emplace(d.name, total);
+    } else {
+      out.histograms.emplace(d.name, h);
+    }
+  }
   for (const auto& [name, c] : counters_) out.counters.emplace(name, c->value());
-  for (const auto& [name, g] : gauges_) out.gauges.emplace(name, g->value());
+  for (const auto& [name, g] : gauges_by_name_) out.gauges.emplace(name, g->value());
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot s;
     s.count = h->count();
@@ -146,8 +232,17 @@ Snapshot Registry::snapshot() const {
 
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [thread, cells] : slabs_) {
+    for (auto& c : cells->counters) c.store(0, std::memory_order_relaxed);
+    for (auto& h : cells->histograms) {
+      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
+      h.count.store(0, std::memory_order_relaxed);
+      h.sum.store(0, std::memory_order_relaxed);
+    }
+  }
+  for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
   for (const auto& [name, c] : counters_) c->reset();
-  for (const auto& [name, g] : gauges_) g->reset();
+  for (const auto& [name, g] : gauges_by_name_) g->reset();
   for (const auto& [name, h] : histograms_) h->reset();
 }
 

@@ -1,14 +1,22 @@
-// The metrics registry: named counters, gauges and fixed-bucket histograms
-// with std::atomic cells, plus point-in-time snapshots that diff, merge and
-// serialize. This is the passive half of src/obs — instruments write cells,
-// drivers snapshot them; nothing here ever feeds back into computation (the
+// The metrics registry: catalog metrics written by id into per-thread
+// cells, ad-hoc named counters, gauges and fixed-bucket histograms for
+// tests, plus point-in-time snapshots that diff, merge and serialize. This
+// is the passive half of src/obs — instruments write cells, tools and
+// benches snapshot them; nothing here ever feeds back into computation (the
 // bit-exactness contract of docs/OBSERVABILITY.md).
 //
-// Cell updates are relaxed atomics: counts are commutative, no instrument
-// reads another instrument's cell, and a snapshot only needs each cell's
-// own value, not a consistent cut across cells. Registration (find-or-create
-// by name) takes a mutex and is expected off the hot path — hooks publish
-// whole-call totals once per engine call, not per inner iteration.
+// Engine hooks publish per tree (every BFS run and dominating-tree build
+// writes about a dozen cells, ~10^7 writes per build of a 10^6-node
+// graph), so a write must not lock, allocate or look anything up. Each registry therefore
+// owns one cache-line-aligned slab of counter and histogram cells per
+// writing thread, indexed by catalog slot (obs/catalog.hpp). A write is a
+// relaxed load and store on a line only its own thread writes; the
+// registry mutex is taken only when a thread writes to a registry other
+// than the one it last wrote to (its first write included).
+// snapshot() sums the slabs, so the cost of summation moves from the write
+// to the read. Gauges keep last-write semantics and stay one shared atomic
+// per id. Cells are atomics throughout, so a concurrent snapshot reads
+// each cell's own value (not a consistent cut across cells) without a race.
 #pragma once
 
 #include <array>
@@ -19,6 +27,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "obs/catalog.hpp"
+#include "util/prelude.hpp"
 
 namespace remspan {
 class BenchReport;
@@ -26,7 +40,7 @@ class BenchReport;
 
 namespace remspan::obs {
 
-/// Monotone event count.
+/// Monotone event count (ad-hoc named cell).
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
@@ -131,24 +145,122 @@ struct Snapshot {
   [[nodiscard]] bool operator==(const Snapshot&) const = default;
 };
 
-/// Named-instrument registry. Instruments live as long as the registry and
-/// keep stable addresses, so hooks may cache the reference returned by
-/// counter()/gauge()/histogram() for the duration of a call.
+namespace detail {
+
+/// Adds `n` to a cell only the calling thread writes: a relaxed load and
+/// store, no read-modify-write.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
+  cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
+/// One thread's cells for every catalog counter and histogram, plus a bit
+/// per metric id recording that the thread wrote it (a written metric
+/// appears in snapshots even when its total is zero). Single writer: only
+/// the owning thread writes; snapshot() and reset() read and zero it.
+struct alignas(64) ThreadCells {
+  struct HistogramCells {
+    std::array<std::atomic<std::uint64_t>, Histogram::kBuckets> buckets{};
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum{0};
+  };
+
+  std::array<std::atomic<std::uint64_t>, (kNumMetrics + 63) / 64> written{};
+  std::array<std::atomic<std::uint64_t>, kNumCounters> counters{};
+  std::array<HistogramCells, kNumHistograms> histograms{};
+
+  void add(Metric id, std::uint64_t n) {
+    REMSPAN_CHECK(def(id).kind == Kind::kCounter);
+    mark(id);
+    detail::bump(counters[kSlot[index(id)]], n);
+  }
+
+  void record(Metric id, std::uint64_t value) {
+    REMSPAN_CHECK(def(id).kind == Kind::kHistogram);
+    mark(id);
+    HistogramCells& h = histograms[kSlot[index(id)]];
+    detail::bump(h.buckets[Histogram::bucket_index(value)], 1);
+    detail::bump(h.count, 1);
+    detail::bump(h.sum, value);
+  }
+
+  [[nodiscard]] bool was_written(Metric id) const noexcept {
+    return (written[index(id) / 64].load(std::memory_order_relaxed) >> (index(id) % 64) & 1) != 0;
+  }
+
+ private:
+  void mark(Metric id) noexcept {
+    std::atomic<std::uint64_t>& word = written[index(id) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (index(id) % 64);
+    const std::uint64_t seen = word.load(std::memory_order_relaxed);
+    if ((seen & bit) == 0) [[unlikely]] word.store(seen | bit, std::memory_order_relaxed);
+  }
+};
+
+namespace detail {
+
+/// The (registry serial, slab) pair a thread last wrote through. Keyed by
+/// serial number, never by registry address: a registry re-created at a
+/// freed one's address gets a fresh serial, so a stale entry can never
+/// match it.
+struct SlabRef {
+  std::uint64_t serial = 0;  // 0: empty (serials start at 1)
+  ThreadCells* cells = nullptr;
+};
+inline constinit thread_local SlabRef t_slab{};
+
+}  // namespace detail
+
+/// Metric registry. Catalog metrics are written by id through add(),
+/// record(), set() and add_gauge(); the name-keyed counter()/gauge()/
+/// histogram() accessors serve ad-hoc cells in tests (a catalog name is
+/// rejected there) and keep stable addresses for the registry's lifetime.
 class Registry {
  public:
+  Registry();
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
+
+  /// The calling thread's slab: a thread-local compare on the hot path;
+  /// a thread's first write to this registry, or its first after writing
+  /// to another one, takes the mutex.
+  [[nodiscard]] ThreadCells& local() {
+    const detail::SlabRef& hot = detail::t_slab;
+    if (hot.serial == serial_) [[likely]] return *hot.cells;
+    return attach();
+  }
+
+  void add(Metric id, std::uint64_t n) { local().add(id, n); }
+  void record(Metric id, std::uint64_t value) { local().record(id, value); }
+  void set(Metric id, std::int64_t value);
+  void add_gauge(Metric id, std::int64_t n);
+
   [[nodiscard]] Counter& counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] Histogram& histogram(const std::string& name);
 
+  /// Sums every thread's cells in catalog order into a name-keyed
+  /// Snapshot, together with the ad-hoc cells. A metric appears once it
+  /// has been written (with any value, zero included).
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zeroes every cell (instrument set is kept — addresses stay valid).
+  /// Zeroes every cell of every slab, gauge and ad-hoc instrument; the set
+  /// of written names is kept (ad-hoc addresses stay valid). Call it while
+  /// no write is in flight: a concurrent write may land on either side.
   void reset();
 
  private:
+  ThreadCells& attach();
+  std::atomic<std::int64_t>& gauge_cell(Metric id);
+
+  const std::uint64_t serial_;
   mutable std::mutex mutex_;
+  std::vector<std::pair<std::thread::id, std::unique_ptr<ThreadCells>>> slabs_;
+  std::array<std::atomic<std::int64_t>, kNumGauges> gauges_{};
+  std::array<std::atomic<bool>, kNumGauges> gauge_written_{};
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_by_name_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

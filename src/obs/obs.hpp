@@ -3,8 +3,9 @@
 //
 // The contract that keeps observability safe in a bit-exact codebase
 // (docs/OBSERVABILITY.md):
-//   - sinks are pointer-null by default, so a disabled hook is one relaxed
-//     atomic load and a branch (pinned by BM_ObsSpanDisabled);
+//   - sinks are pointer-null by default, so a disabled hook is one acquire
+//     load and a branch (pinned by BM_ObsSpanDisabled and
+//     BM_SpannerBuildTh2);
 //   - nothing an instrument records is ever read back by the algorithms —
 //     engine and simulator outputs are bit-identical with sinks installed
 //     or not (pinned by the ObsEquivalence suite);
@@ -22,7 +23,7 @@
 namespace remspan::obs {
 
 /// The installed sinks (either may be null). Hooks call these on every hit;
-/// both are a single relaxed-ish atomic load.
+/// both are a single acquire load.
 [[nodiscard]] Registry* metrics() noexcept;
 [[nodiscard]] TraceBuffer* trace() noexcept;
 
@@ -95,21 +96,22 @@ inline void instant(const char* name, const char* cat = "engine") {
   }
 }
 
-/// One-shot metric hooks: a relaxed load and a branch when no registry is
-/// installed, a name lookup + relaxed cell update when one is. Call sites
-/// with a hot inner loop should still cache the instrument reference; these
-/// are for whole-call totals (the service's ingestion/publication path).
-inline void count(const char* name, std::uint64_t n = 1) {
-  if (Registry* m = metrics()) m->counter(name).add(n);
+/// Metric hooks by catalog id (obs/catalog.hpp). With no registry
+/// installed each is one acquire load and a branch; with one, a counter or
+/// histogram write is a thread-local slab lookup plus relaxed loads and
+/// stores on cells no other thread writes. Call sites that publish several
+/// metrics at once load metrics() once and write through the registry.
+inline void add(Metric id, std::uint64_t n = 1) {
+  if (Registry* m = metrics()) m->add(id, n);
 }
-inline void gauge_set(const char* name, std::int64_t v) {
-  if (Registry* m = metrics()) m->gauge(name).set(v);
+inline void record(Metric id, std::uint64_t value) {
+  if (Registry* m = metrics()) m->record(id, value);
 }
-inline void gauge_add(const char* name, std::int64_t n) {
-  if (Registry* m = metrics()) m->gauge(name).add(n);
+inline void gauge_set(Metric id, std::int64_t value) {
+  if (Registry* m = metrics()) m->set(id, value);
 }
-inline void record(const char* name, std::uint64_t v) {
-  if (Registry* m = metrics()) m->histogram(name).record(v);
+inline void gauge_add(Metric id, std::int64_t n) {
+  if (Registry* m = metrics()) m->add_gauge(id, n);
 }
 
 }  // namespace remspan::obs

@@ -115,9 +115,9 @@ TenantId SpannerService::open_tenant(const Graph& initial, const std::string& sp
     tenants_.emplace(tenant->id, tenant);
     ++tenants_opened_;
   }
-  obs::count("serve.tenants_opened");
-  obs::gauge_add("serve.tenants_live", 1);
-  obs::count("serve.epochs_published");  // epoch 0
+  obs::add(obs::Metric::kServeTenantsOpened);
+  obs::gauge_add(obs::Metric::kServeTenantsLive, 1);
+  obs::add(obs::Metric::kServeEpochsPublished);  // epoch 0
   return tenant->id;
 }
 
@@ -134,8 +134,8 @@ void SpannerService::close_tenant(TenantId id) {
     tenants_.erase(id);
     ++tenants_closed_;
   }
-  obs::count("serve.tenants_closed");
-  obs::gauge_add("serve.tenants_live", -1);
+  obs::add(obs::Metric::kServeTenantsClosed);
+  obs::gauge_add(obs::Metric::kServeTenantsLive, -1);
 }
 
 bool SpannerService::has_tenant(TenantId id) const {
@@ -199,15 +199,15 @@ Admission SpannerService::submit(TenantId id, std::span<const GraphEvent> events
       tenant->stats.events_coalesced += delta.coalesced;
     }
   }
-  obs::count("serve.events_submitted", events.size());
+  obs::add(obs::Metric::kServeEventsSubmitted, events.size());
   if (verdict != Admission::kAccepted) {
-    obs::count(verdict == Admission::kRetryAfter ? "serve.rejected_retry_after"
-                                                 : "serve.rejected_overloaded");
+    obs::add(verdict == Admission::kRetryAfter ? obs::Metric::kServeRejectedRetryAfter
+                                               : obs::Metric::kServeRejectedOverloaded);
     return verdict;
   }
-  obs::count("serve.events_accepted", delta.events);
-  obs::count("serve.events_coalesced", delta.coalesced);
-  obs::gauge_set("serve.queue_depth", global_pending_.load(std::memory_order_relaxed));
+  obs::add(obs::Metric::kServeEventsAccepted, delta.events);
+  obs::add(obs::Metric::kServeEventsCoalesced, delta.coalesced);
+  obs::gauge_set(obs::Metric::kServeQueueDepth, global_pending_.load(std::memory_order_relaxed));
   if (cfg_.worker_threads > 0) schedule(*tenant);
   return verdict;
 }
@@ -288,10 +288,10 @@ SpannerService::DrainResult SpannerService::drain_pass(Tenant& t) {
     more = !t.queue.empty();
     t.drain_cv.notify_all();
   }
-  obs::count("serve.epochs_published");
-  obs::count("serve.events_applied", applied);
-  obs::record("serve.batch_events", applied);
-  obs::gauge_set("serve.queue_depth", global_pending_.load(std::memory_order_relaxed));
+  obs::add(obs::Metric::kServeEpochsPublished);
+  obs::add(obs::Metric::kServeEventsApplied, applied);
+  obs::record(obs::Metric::kServeBatchEvents, applied);
+  obs::gauge_set(obs::Metric::kServeQueueDepth, global_pending_.load(std::memory_order_relaxed));
   if (more && cfg_.worker_threads > 0) schedule(t);
   return DrainResult::kDrained;
 }

@@ -129,13 +129,13 @@ EdgeSet cluster_union_of_trees(const Graph& g, Dist ball_depth, const MakeTree& 
     info->build_seconds = span.seconds();
   }
   if (obs::Registry* m = obs::metrics()) {
-    m->counter("union.builds").add(1);
-    m->counter("union.trees").add(g.num_nodes());
-    m->counter("union.words_ord").add(total.words_ord);
-    m->counter("union.spanner_edges").add(spanner.size());
-    m->counter("shard.batches").add(total.batches);
-    m->counter("shard.gather_nodes").add(total.gather_nodes);
-    m->counter("shard.gather_edges").add(total.gather_edges);
+    m->add(obs::Metric::kUnionBuilds, 1);
+    m->add(obs::Metric::kUnionTrees, g.num_nodes());
+    m->add(obs::Metric::kUnionWordsOrd, total.words_ord);
+    m->add(obs::Metric::kUnionSpannerEdges, spanner.size());
+    m->add(obs::Metric::kShardBatches, total.batches);
+    m->add(obs::Metric::kShardGatherNodes, total.gather_nodes);
+    m->add(obs::Metric::kShardGatherEdges, total.gather_edges);
   }
   return spanner;
 }

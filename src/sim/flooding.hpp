@@ -33,14 +33,14 @@ class FloodManager {
   /// for fresh messages with remaining budget.
   bool accept(NodeContext& ctx, const Message& msg) {
     if (!mark_seen(msg)) {
-      if (obs::Registry* m = obs::metrics()) m->counter("sim.flood_dups").add(1);
+      obs::add(obs::Metric::kSimFloodDups);
       return false;
     }
     if (obs::Registry* m = obs::metrics()) {
-      m->counter("sim.flood_accepts").add(1);
+      m->add(obs::Metric::kSimFloodAccepts, 1);
       // Remaining forwarding budget at acceptance; scope minus this value is
       // the hops travelled, so the histogram is the flood-lifetime profile.
-      m->histogram("sim.flood_ttl_left").record(msg.ttl);
+      m->record(obs::Metric::kSimFloodTtlLeft, msg.ttl);
     }
     if (msg.ttl > 1) {
       Message fwd = msg;

@@ -117,13 +117,13 @@ void Network::step_round() {
 void Network::publish_round_obs(const NetworkStats& before) const {
   const NetworkStats d = stats_ - before;
   if (obs::Registry* m = obs::metrics()) {
-    m->counter("sim.rounds").add(1);
-    m->counter("sim.msgs_offered").add(d.transmissions);
-    m->counter("sim.msgs_delivered").add(d.receptions);
-    m->counter("sim.msgs_dropped").add(d.drops);
-    m->counter("sim.msgs_delayed").add(d.delayed);
-    m->counter("sim.payload_words").add(d.payload_words);
-    m->histogram("sim.round_offered").record(d.transmissions);
+    m->add(obs::Metric::kSimRounds, 1);
+    m->add(obs::Metric::kSimMsgsOffered, d.transmissions);
+    m->add(obs::Metric::kSimMsgsDelivered, d.receptions);
+    m->add(obs::Metric::kSimMsgsDropped, d.drops);
+    m->add(obs::Metric::kSimMsgsDelayed, d.delayed);
+    m->add(obs::Metric::kSimPayloadWords, d.payload_words);
+    m->record(obs::Metric::kSimRoundOffered, d.transmissions);
   }
   if (obs::TraceBuffer* t = obs::trace()) {
     obs::TraceEvent e;

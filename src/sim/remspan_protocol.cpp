@@ -11,8 +11,8 @@ namespace remspan {
 
 void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t interval) {
   if (obs::Registry* m = obs::metrics()) {
-    m->counter("sim.retransmissions").add(1);
-    m->histogram("sim.backoff_interval").record(interval);
+    m->add(obs::Metric::kSimRetransmissions, 1);
+    m->record(obs::Metric::kSimBackoffInterval, interval);
   }
   if (obs::TraceBuffer* t = obs::trace()) {
     obs::TraceEvent e;

@@ -1,13 +1,16 @@
 // The observability subsystem (src/obs): instrument semantics, snapshot
 // algebra (diff/merge), serialization, the trace ring buffer, the sink hub,
-// and — the part TSan is pointed at — one registry hammered from every
-// thread-pool worker with exact conservation: counters sum exactly,
-// histogram totals (count, sum, per-bucket) are conserved.
+// the per-thread cells behind catalog ids, and — the part TSan is pointed
+// at — one registry hammered from every thread-pool worker with exact
+// conservation: counters sum exactly, histogram totals (count, sum,
+// per-bucket) are conserved.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -284,6 +287,183 @@ TEST(ObsThreads, HistogramTotalsConserved) {
   std::uint64_t bucket_total = 0;
   for (const std::uint64_t b : h.buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, h.count);
+}
+
+// --- per-thread cells behind catalog ids (TSan) --------------------------
+
+using obs::Metric;
+
+/// Bucket, count and sum of `values` recorded into one histogram.
+obs::HistogramSnapshot expected_histogram(const std::vector<std::uint64_t>& values) {
+  obs::HistogramSnapshot h;
+  for (const std::uint64_t v : values) {
+    ++h.count;
+    h.sum += v;
+    ++h.buckets[obs::Histogram::bucket_index(v)];
+  }
+  return h;
+}
+
+TEST(ObsCells, CatalogIsDenseAndSlotted) {
+  EXPECT_EQ(obs::kNumCounters + obs::kNumGauges + obs::kNumHistograms, obs::kNumMetrics);
+  EXPECT_EQ(obs::def(Metric::kBfsRuns).name, "bfs.runs");
+  EXPECT_EQ(obs::def(Metric::kServeBatchEvents).kind, obs::Kind::kHistogram);
+  EXPECT_EQ(obs::kSlot[obs::index(Metric::kBfsRuns)], 0u);
+  EXPECT_EQ(obs::kSlot[obs::index(Metric::kBfsBallNodes)], 0u);  // first histogram
+}
+
+TEST(ObsCells, WrittenMetricAppearsEvenAtZero) {
+  obs::Registry reg;
+  EXPECT_TRUE(reg.snapshot().counters.empty());
+  reg.add(Metric::kIncNoopBatches, 0);
+  reg.set(Metric::kServeQueueDepth, 0);
+  const obs::Snapshot s = reg.snapshot();
+  EXPECT_EQ(s.counters.size(), 1u);
+  EXPECT_EQ(s.counters.at("inc.noop_batches"), 0u);
+  EXPECT_EQ(s.gauges.at("serve.queue_depth"), 0);
+  EXPECT_TRUE(s.histograms.empty());
+}
+
+TEST(ObsCells, KindMismatchAndCatalogNamesRejected) {
+  obs::Registry reg;
+  EXPECT_THROW(reg.add(Metric::kBfsBallNodes, 1), CheckError);
+  EXPECT_THROW(reg.record(Metric::kBfsRuns, 1), CheckError);
+  EXPECT_THROW(reg.set(Metric::kBfsRuns, 1), CheckError);
+  // A catalog metric has exactly one cell: the name-keyed accessors are
+  // for ad-hoc names only.
+  EXPECT_THROW((void)reg.counter("bfs.runs"), CheckError);
+  EXPECT_THROW((void)reg.histogram("domtree.tree_edges"), CheckError);
+}
+
+TEST(ObsCells, GaugesAreSharedLastWriteCells) {
+  obs::Registry reg;
+  reg.add_gauge(Metric::kServeTenantsLive, 3);
+  std::thread([&] { reg.add_gauge(Metric::kServeTenantsLive, -1); }).join();
+  reg.set(Metric::kServeQueueDepth, 17);
+  std::thread([&] { reg.set(Metric::kServeQueueDepth, 5); }).join();
+  const obs::Snapshot s = reg.snapshot();
+  EXPECT_EQ(s.gauges.at("serve.tenants_live"), 2);
+  EXPECT_EQ(s.gauges.at("serve.queue_depth"), 5);
+}
+
+TEST(ObsCells, JoinedThreadCountsSurviveInSnapshot) {
+  obs::Registry reg;
+  reg.add(Metric::kBfsRuns, 1);
+  std::thread worker([&] {
+    reg.add(Metric::kBfsRuns, 10);
+    reg.record(Metric::kBfsBallNodes, 7);
+  });
+  worker.join();
+  // The worker's slab outlives the worker: the registry owns it.
+  const obs::Snapshot s = reg.snapshot();
+  EXPECT_EQ(s.counters.at("bfs.runs"), 11u);
+  EXPECT_EQ(s.histograms.at("bfs.ball_nodes"), expected_histogram({7}));
+}
+
+TEST(ObsCells, RecreatedRegistryStartsFromZero) {
+  // std::optional re-creates the registry in the same storage, so the new
+  // one usually sits at the freed one's address: a thread-local cache keyed
+  // by address would hand this thread the dead registry's slab.
+  std::optional<obs::Registry> reg;
+  const obs::Registry* first = nullptr;
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    reg.emplace();
+    if (first == nullptr) first = &*reg;
+    EXPECT_EQ(&*reg, first);
+    EXPECT_TRUE(reg->snapshot().counters.empty());
+    reg->add(Metric::kDomtreeBuilds, round);
+    std::thread([&] { reg->add(Metric::kDomtreeBuilds, 100); }).join();
+    EXPECT_EQ(reg->snapshot().counters.at("domtree.builds"), round + 100);
+    reg.reset();
+  }
+}
+
+TEST(ObsCells, OneThreadKeepsRegistriesApart) {
+  // Six registries written in rotation: every switch re-attaches through
+  // the mutex, and no registry's counts leak into another's.
+  std::vector<std::optional<obs::Registry>> regs(6);
+  for (auto& r : regs) r.emplace();
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const std::size_t r = i % regs.size();
+    regs[r]->add(Metric::kUnionTrees, r + 1);
+    regs[r]->record(Metric::kDomtreeTreeEdges, r);
+  }
+  for (std::size_t r = 0; r < regs.size(); ++r) {
+    const obs::Snapshot s = regs[r]->snapshot();
+    EXPECT_EQ(s.counters.at("union.trees"), 100 * (r + 1)) << r;
+    EXPECT_EQ(s.histograms.at("domtree.tree_edges"),
+              expected_histogram(std::vector<std::uint64_t>(100, r)))
+        << r;
+  }
+}
+
+TEST(ObsCells, ResetZeroesEverySlabAndKeepsKeys) {
+  obs::Registry reg;
+  const obs::ScopedSinks sinks(&reg, nullptr);
+  ThreadPool::global().parallel_for_workers(0, 1000, [&](std::size_t i, std::size_t) {
+    obs::add(Metric::kSimRounds, 1);
+    obs::record(Metric::kSimRoundOffered, i);
+  });
+  obs::gauge_set(Metric::kServeQueueDepth, 4);
+  (void)reg.counter("adhoc").add(2);
+  const obs::Snapshot before = reg.snapshot();
+  EXPECT_EQ(before.counters.at("sim.rounds"), 1000u);
+  reg.reset();
+  const obs::Snapshot after = reg.snapshot();
+  ASSERT_EQ(after.counters.size(), before.counters.size());
+  ASSERT_EQ(after.gauges.size(), before.gauges.size());
+  ASSERT_EQ(after.histograms.size(), before.histograms.size());
+  for (const auto& [name, value] : after.counters) {
+    EXPECT_TRUE(before.counters.contains(name)) << name;
+    EXPECT_EQ(value, 0u) << name;
+  }
+  for (const auto& [name, value] : after.gauges) EXPECT_EQ(value, 0) << name;
+  for (const auto& [name, h] : after.histograms) {
+    EXPECT_EQ(h, obs::HistogramSnapshot{}) << name;
+  }
+  // Cells keep counting from zero on every thread after the reset.
+  ThreadPool::global().parallel_for_workers(0, 10, [&](std::size_t, std::size_t) {
+    obs::add(Metric::kSimRounds, 1);
+  });
+  EXPECT_EQ(reg.snapshot().counters.at("sim.rounds"), 10u);
+}
+
+TEST(ObsCells, CountersSumExactlyAcrossWorkers) {
+  obs::Registry reg;
+  const obs::ScopedSinks sinks(&reg, nullptr);
+  constexpr std::size_t kItems = 200000;
+  ThreadPool::global().parallel_for_workers(0, kItems, [&](std::size_t i, std::size_t) {
+    obs::add(Metric::kBfsRuns);
+    obs::add(Metric::kBfsNodesExpanded, i % 7);
+  });
+  const obs::Snapshot s = reg.snapshot();
+  EXPECT_EQ(s.counters.at("bfs.runs"), kItems);
+  std::uint64_t expected = 0;
+  for (std::size_t i = 0; i < kItems; ++i) expected += i % 7;
+  EXPECT_EQ(s.counters.at("bfs.nodes_expanded"), expected);
+}
+
+TEST(ObsCells, HistogramTotalsConservedAcrossWorkers) {
+  obs::Registry reg;
+  const obs::ScopedSinks sinks(&reg, nullptr);
+  constexpr std::size_t kItems = 100000;
+  // Snapshots taken while the workers write must stay readable (TSan) and
+  // monotone; only the final one is exact.
+  std::thread reader([&] {
+    obs::Snapshot last = reg.snapshot();
+    for (int i = 0; i < 50; ++i) {
+      const obs::Snapshot now = reg.snapshot();
+      (void)now.diff(last);  // throws if any cell went backwards
+      last = now;
+    }
+  });
+  ThreadPool::global().parallel_for_workers(0, kItems, [&](std::size_t i, std::size_t) {
+    obs::record(Metric::kBfsShellNodes, i % 1000);
+  });
+  reader.join();
+  std::vector<std::uint64_t> values;
+  for (std::size_t i = 0; i < kItems; ++i) values.push_back(i % 1000);
+  EXPECT_EQ(reg.snapshot().histograms.at("bfs.shell_nodes"), expected_histogram(values));
 }
 
 }  // namespace

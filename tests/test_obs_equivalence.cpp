@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/remote_spanner.hpp"
@@ -25,6 +28,19 @@ namespace {
 
 /// The shared single-topology corpus (tests/support/corpus.hpp).
 Graph test_graph(std::uint64_t seed) { return testsupport::observability_graph(seed); }
+
+/// `count` random edge up/down events on an n-node graph (self-loops
+/// skipped, so a batch may hold fewer).
+std::vector<GraphEvent> random_edge_events(Rng& rng, std::size_t n, int count) {
+  std::vector<GraphEvent> events;
+  for (int e = 0; e < count; ++e) {
+    const auto u = static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    const auto v = static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    if (u == v) continue;
+    events.push_back(rng.bernoulli(0.5) ? GraphEvent::edge_up(u, v) : GraphEvent::edge_down(u, v));
+  }
+  return events;
+}
 
 TEST(ObsEquivalence, CentralizedBuildsBitIdenticalWithSinksOn) {
   const Graph g = test_graph(11);
@@ -55,16 +71,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
     Rng rng(99);
     std::vector<std::vector<Edge>> spanners;
     for (int batch = 0; batch < 6; ++batch) {
-      std::vector<GraphEvent> events;
-      for (int e = 0; e < 8; ++e) {
-        const auto n = static_cast<std::int64_t>(initial.num_nodes());
-        const auto u = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-        const auto v = static_cast<NodeId>(rng.uniform_int(0, n - 1));
-        if (u == v) continue;
-        events.push_back(rng.bernoulli(0.5) ? GraphEvent::edge_up(u, v)
-                                            : GraphEvent::edge_down(u, v));
-      }
-      inc.apply_batch(events);
+      inc.apply_batch(random_edge_events(rng, initial.num_nodes(), 8));
       spanners.push_back(inc.spanner().edge_list());
     }
     return spanners;
@@ -113,6 +120,42 @@ TEST(ObsEquivalence, DistributedProtocolBitIdenticalWithSinksOn) {
                         obs::kRoundMicros);
   }
   EXPECT_TRUE(saw_sim_event);
+}
+
+// The full metric snapshot of one fixed sinks-on run — a th2 and a th1
+// build, 10 incremental batches and one reliable (lossy) protocol run — is
+// pinned byte for byte: every name, kind and value. The golden file was
+// captured from the name-keyed registry that the id-indexed per-thread
+// cells replaced, so it proves the write path changed nothing observable.
+TEST(ObsEquivalence, SnapshotMatchesGolden) {
+  obs::Registry reg;
+  {
+    const obs::ScopedSinks sinks(&reg, nullptr);
+    const Graph g = test_graph(11);
+    (void)build_k_connecting_spanner(g, 2);
+    (void)build_low_stretch_remote_spanner(g, 0.5);
+
+    DynamicGraph dg(test_graph(23));
+    IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+    Rng rng(99);
+    for (int batch = 0; batch < 10; ++batch) {
+      inc.apply_batch(random_edge_events(rng, dg.num_nodes(), 8));
+    }
+
+    RemSpanConfig config;
+    config.kind = RemSpanConfig::Kind::kKConnGreedy;
+    config.k = 1;
+    FaultConfig faults;
+    faults.link.drop = 0.2;
+    faults.link.seed = 5;
+    (void)run_remspan_distributed(test_graph(37), config, faults);
+  }
+  std::ifstream in(REMSPAN_OBS_GOLDEN);
+  ASSERT_TRUE(in) << "missing golden file " << REMSPAN_OBS_GOLDEN;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  const std::string actual = reg.snapshot().to_json();
+  EXPECT_EQ(actual, golden.str()) << "actual snapshot:\n" << actual;
 }
 
 }  // namespace
