@@ -31,6 +31,10 @@ int bench_main(int argc, char** argv) {
   bool all_rounds_match = true;
   std::size_t max_rounds = 0;
   double max_tx_per_node = 0.0;
+  // Totals over every row: exact message counts, so a CI gate at zero
+  // tolerance catches any drift in the protocol's wire schedule.
+  std::uint64_t sum_tx = 0;
+  std::uint64_t sum_payload_words = 0;
   Table table({"n", "construction", "scope", "rounds", "paper", "tx/node", "words/node"});
   for (std::uint64_t n = 200; n <= n_max; n *= 2) {
     const Graph g = paper_udg(side, static_cast<double>(n), 70 + n);
@@ -53,6 +57,8 @@ int bench_main(int argc, char** argv) {
       const auto run = run_remspan_distributed(g, cfg);
       all_rounds_match = all_rounds_match && run.rounds == cfg.expected_rounds();
       max_rounds = std::max<std::size_t>(max_rounds, run.rounds);
+      sum_tx += run.stats.transmissions;
+      sum_payload_words += run.stats.payload_words;
       max_tx_per_node = std::max(max_tx_per_node,
                                  static_cast<double>(run.stats.transmissions) /
                                      static_cast<double>(g.num_nodes()));
@@ -74,6 +80,8 @@ int bench_main(int argc, char** argv) {
   report.value("all_rounds_match_paper", static_cast<std::int64_t>(all_rounds_match));
   report.value("max_rounds", max_rounds);
   report.value("max_tx_per_node", max_tx_per_node);
+  report.value("sum_tx", sum_tx);
+  report.value("sum_payload_words", sum_payload_words);
   report.finish();
   return 0;
 }

@@ -5,7 +5,9 @@
 // knows how to (a) build the spanner with its paper guarantee and matching
 // exact-oracle verifier, (b) open an incremental-maintenance config for it
 // (src/dynamic), and (c) open a distributed-protocol config for it
-// (src/sim) — each capability optional per construction. The seven shipped
+// (src/sim: a RemSpanConfig for the one node program RemSpanProtocol, which
+// run_remspan_distributed runs once and ReconvergenceSim once per churn
+// batch) — each capability optional per construction. The seven shipped
 // constructions (th1, th2, th3, mpr, greedy, baswana, full) are registered
 // at startup; future constructions (weighted remote-spanners, CONGEST
 // comparators) plug in through register_construction and become reachable
@@ -193,7 +195,7 @@ class IncrementalSession {
 /// SpecError for constructions without a protocol. A faulty `faults.link`
 /// runs the session over a lossy/delaying channel with the reliable
 /// protocol variant (see reconvergence.hpp for the convergence-under-loss
-/// contract); the default keeps the lossless one-shot schedule.
+/// contract); the default keeps the paper's exact lossless schedule.
 [[nodiscard]] std::unique_ptr<ReconvergenceSim> open_reconvergence_session(
     const Graph& initial, const SpannerSpec& spec, ReconvergeStrategy strategy,
     const FaultConfig& faults = {});

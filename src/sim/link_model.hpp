@@ -113,8 +113,8 @@ struct LinkModelConfig {
 
 /// Protocol-side reliability knobs (ack-less retransmission). Enabled
 /// automatically by the drivers whenever a faulty LinkModelConfig is
-/// attached; with a lossless channel the protocols keep the paper's exact
-/// one-shot schedule so the round/message accounting is unchanged.
+/// attached; with a lossless channel RemSpanProtocol keeps the paper's
+/// exact schedule so the round/message accounting is unchanged.
 struct ReliabilityConfig {
   bool enabled = false;
   /// Rounds until the first re-advertisement of a stream; doubles after
@@ -154,9 +154,11 @@ struct ReliabilityConfig {
 [[nodiscard]] std::uint32_t emission_jitter(NodeId node, std::uint32_t k,
                                             std::uint32_t span) noexcept;
 
-/// Channel faults + protocol reliability: the single knob drivers
-/// (ReconvergenceSim, run_remspan_distributed, the api sessions, the CLI)
-/// accept. Default = lossless channel, one-shot schedule.
+/// Channel faults + protocol reliability: the single knob the two drivers
+/// of RemSpanProtocol accept — run_remspan_distributed (in-band sensing)
+/// and ReconvergenceSim (driver-sensed epochs) — and, through them, the api
+/// sessions and the CLI. Default = lossless channel, the paper's exact
+/// schedule.
 struct FaultConfig {
   LinkModelConfig link;
   ReliabilityConfig reliability;

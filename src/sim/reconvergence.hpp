@@ -3,10 +3,13 @@
 // keeps changing.
 //
 // The driver replays a stream of GraphEvent batches (a ChurnTrace) into a
-// persistent synchronous Network whose nodes run the advertise/compute/
-// flood pipeline of Algorithm RemSpan, and measures, per batch, the cost of
+// persistent synchronous Network whose nodes run Algorithm RemSpan's node
+// program (RemSpanProtocol, remspan_protocol.hpp, with driver-sensed links
+// and one epoch per batch), and measures, per batch, the cost of
 // re-converging the distributed state: rounds, messages, payload words and
-// bytes on the wire. Two strategies are compared:
+// bytes on the wire. Epochs run through run_remspan_epoch, the epoch runner
+// and completeness oracle run_remspan_distributed uses too. Two strategies
+// are compared:
 //
 //   kFullReflood   — the strawman: every node discards its state and reruns
 //                    the full protocol on the new topology (periodic
@@ -37,11 +40,11 @@
 //     that *entered* u's ball without itself being touched (a remote
 //     insertion shortened the path) lies within scope of the inserted
 //     edge's endpoints, is therefore dirty, and re-floods.
-//   * Stale entries for origins that *left* the ball are pruned locally:
-//     before recomputing, a dirty node walks its stored lists breadth-first
-//     from its sensed neighbors to depth scope. Entries inside the
+//   * Stale entries for origins that *left* the ball are ignored locally:
+//     a dirty node's compute reads only the stored lists that a walk of
+//     depth scope from its sensed neighbors reaches. Entries inside the
 //     reconstructed ball are fresh by the argument above, so the walk never
-//     follows a phantom edge, and everything beyond it is discarded.
+//     follows a phantom edge, and nothing beyond it is read.
 //
 // tests/test_reconvergence.cpp pins this equivalence after every batch
 // (spanner, per-node trees, per-node pruned ball views) against both the
@@ -49,7 +52,8 @@
 //
 // Link-layer modeling: neighbor change detection (HELLO exchange /
 // timeouts) is driver-side — each touched endpoint is handed its new
-// sensed neighbor list, the way simulators model layer-2 link sensing.
+// sensed neighbor list (RemSpanProtocol::sense_neighbors), the way
+// simulators model layer-2 link sensing.
 // Advertising nodes still pay one HELLO broadcast per batch, so the
 // round schedule and per-node cost match Algorithm RemSpan's
 // 1 + 2*scope budget exactly; a batch whose delta is empty costs zero
@@ -71,8 +75,10 @@
 // variant. Then every epoch quiesces with probability
 // 1, and at quiescence the per-node converged state — each node's advertised
 // tree, its scope-ball neighbor lists and its scope-ball tree views — is
-// bit-for-bit the state the lossless one-shot run reaches. Loss and delay
-// cost rounds and messages, never correctness.
+// bit-for-bit the state the same driver reaches on the lossless channel.
+// Loss and delay cost rounds and messages, never correctness. The same
+// argument covers run_remspan_distributed, whose in-band sensing makes the
+// neighbor list one more stream a new HELLO re-versions.
 //
 // Proof sketch, by induction over epochs.
 //
@@ -182,8 +188,8 @@ class ReconvergenceSim {
   /// (every node advertises from a cold start; cost in initial_stats()).
   /// A faulty `faults.link` attaches a LinkModel to the channel and switches
   /// every node to the reliable protocol variant (retransmission + backoff +
-  /// quiescence detection); the default FaultConfig keeps the lossless
-  /// one-shot schedule bit-identical to the pre-fault-layer driver.
+  /// quiescence detection); the default FaultConfig keeps the paper's exact
+  /// lossless schedule.
   ReconvergenceSim(const Graph& initial, const RemSpanConfig& config,
                    ReconvergeStrategy strategy, const FaultConfig& faults = {});
   ~ReconvergenceSim();
@@ -226,16 +232,6 @@ class ReconvergenceSim {
   [[nodiscard]] std::map<NodeId, std::vector<Edge>> node_ball_trees(NodeId v) const;
 
  private:
-  /// Runs one convergence epoch: to the confirmed quiescence detector under
-  /// a reliable configuration, to the fixed round budget otherwise.
-  std::uint32_t run_epoch();
-
-  /// The completeness oracle behind confirmed quiescence (proof-sketch step
-  /// 4): true iff every node is settled and holds, for every origin within
-  /// flood_scope() of it on the current graph, that origin's current sensed
-  /// neighbor list and currently advertised tree, content-equal.
-  [[nodiscard]] bool ball_state_complete();
-
   RemSpanConfig config_;
   ReconvergeStrategy strategy_;
   FaultConfig faults_;
@@ -243,7 +239,7 @@ class ReconvergenceSim {
   DynamicGraph dynamic_;
   std::shared_ptr<const Graph> graph_;
   std::unique_ptr<Network> net_;
-  BoundedBfs dirty_bfs_;
+  BoundedBfs dirty_bfs_;  // dirty-root collection and the oracle's ball walks
   std::vector<std::uint8_t> dirty_flag_;
   ReconvergeBatchStats initial_;
   std::uint32_t epoch_ = 0;

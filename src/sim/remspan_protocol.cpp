@@ -1,6 +1,7 @@
 #include "sim/remspan_protocol.hpp"
 
 #include <algorithm>
+#include <set>
 #include <unordered_map>
 
 #include "baseline/mpr.hpp"
@@ -9,6 +10,13 @@
 
 namespace remspan {
 
+namespace {
+
+/// Telemetry hook of the ack-less retransmission machinery: bumps the
+/// sim.retransmissions counter, records the freshly scheduled backoff
+/// interval (backoff state occupancy), and drops an instant trace event on
+/// the node's simulator lane (ts = round number — deterministic, no wall
+/// clock). Costs one branch per sink when nothing is installed.
 void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t interval) {
   if (obs::Registry* m = obs::metrics()) {
     m->add(obs::Metric::kSimRetransmissions, 1);
@@ -26,6 +34,8 @@ void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t inter
     t->emit(std::move(e));
   }
 }
+
+}  // namespace
 
 Dist RemSpanConfig::flood_scope() const {
   switch (kind) {
@@ -119,25 +129,60 @@ std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId s
   return out;
 }
 
+void RemSpanProtocol::begin_epoch(bool advertise, bool reset_state) {
+  if (reset_state) {
+    lists_.clear();
+    trees_.clear();
+    tree_edges_.clear();
+  }
+  // The previous epoch ran to quiescence, so its duplicate-suppression keys
+  // can never match again (seqs only grow); keep memory O(live state). The
+  // receive-side version maps empty alongside them and the own streams
+  // restart at version 0.
+  flood_.reset_seen();
+  advertise_ = advertise;
+  round_ = 0;
+  computed_ = false;
+  list_dirty_ = false;
+  recompute_needed_ = false;
+  list_version_ = 0;
+  tree_version_ = 0;
+  list_rx_version_.clear();
+  tree_rx_version_.clear();
+  retransmit_interval_ = 0;
+  next_retransmit_ = 0;
+  resend_count_ = 0;
+}
+
+const std::vector<NodeId>* RemSpanProtocol::stored_list(NodeId origin) const {
+  const auto it = lists_.find(origin);
+  return it == lists_.end() ? nullptr : &it->second;
+}
+
+const std::vector<Edge>* RemSpanProtocol::stored_tree(NodeId origin) const {
+  const auto it = trees_.find(origin);
+  return it == trees_.end() ? nullptr : &it->second;
+}
+
 void RemSpanProtocol::send_hello(NodeContext& ctx) {
   Message hello;
   hello.type = kMsgHello;
-  hello.origin = ctx.id();
+  hello.origin = self_;
   ctx.broadcast(std::move(hello));
 }
 
 void RemSpanProtocol::advertise_list(NodeContext& ctx) {
   std::vector<std::uint32_t> payload;
-  payload.reserve(neighbors_.size() + kVersionPrefixWords);
-  payload.push_back(list_version_);
+  payload.reserve(neighbors_.size() + (rel_.enabled ? kVersionPrefixWords : 0));
+  if (rel_.enabled) payload.push_back(list_version_);
   payload.insert(payload.end(), neighbors_.begin(), neighbors_.end());
   flood_.originate(ctx, kMsgNeighborList, config_.flood_scope(), std::move(payload));
 }
 
 void RemSpanProtocol::flood_tree(NodeContext& ctx) {
   std::vector<std::uint32_t> payload;
-  payload.reserve(tree_edges_.size() * 2 + kVersionPrefixWords);
-  payload.push_back(tree_version_);
+  payload.reserve(tree_edges_.size() * 2 + (rel_.enabled ? kVersionPrefixWords : 0));
+  if (rel_.enabled) payload.push_back(tree_version_);
   for (const Edge& e : tree_edges_) {
     payload.push_back(e.u);
     payload.push_back(e.v);
@@ -145,75 +190,52 @@ void RemSpanProtocol::flood_tree(NodeContext& ctx) {
   flood_.originate(ctx, kMsgTree, config_.flood_scope(), std::move(payload));
 }
 
-void RemSpanProtocol::rebuild_heard_edges() {
-  heard_edges_.clear();
-  heard_edges_.insert(heard_edges_.end(), tree_edges_.begin(), tree_edges_.end());
-  for (const auto& [origin, edges] : heard_trees_) {
-    heard_edges_.insert(heard_edges_.end(), edges.begin(), edges.end());
-  }
+void RemSpanProtocol::schedule_retransmit() {
+  next_retransmit_ = round_ + retransmit_interval_ +
+                     emission_jitter(self_, ++resend_count_, rel_.retransmit_jitter);
 }
 
 void RemSpanProtocol::on_round(NodeContext& ctx) {
-  ++local_round_;
-  const Dist scope = config_.flood_scope();
-  if (local_round_ == 1) {
-    // Neighbor discovery.
+  ++round_;
+  if (!advertise_) return;
+  if (round_ == 1) {
     send_hello(ctx);
     return;
   }
-  if (local_round_ == 2) {
-    // HELLOs are in: advertise the neighbor list to B(u, scope). Under loss
-    // the list may still be partial — every later HELLO marks it dirty and
+  if (round_ == 2) {
+    // Advertise the neighbor list to B(u, scope). Under loss an in-band
+    // list may still be partial — every later new HELLO marks it dirty and
     // a higher-versioned re-advertisement supersedes this one.
-    std::sort(neighbors_.begin(), neighbors_.end());
-    if (!rel_.enabled) {
-      flood_.originate(ctx, kMsgNeighborList, scope,
-                       std::vector<std::uint32_t>(neighbors_.begin(), neighbors_.end()));
-      return;
-    }
-    list_dirty_ = false;
     advertise_list(ctx);
-    retransmit_interval_ = std::max<std::uint32_t>(1, rel_.retransmit_base);
-    next_retransmit_ = local_round_ + retransmit_interval_ +
-                       emission_jitter(ctx.id(), ++resend_count_, rel_.retransmit_jitter);
-    return;
-  }
-  if (!rel_.enabled) {
-    if (local_round_ == 2 + scope && !tree_computed_) {
-      // All neighbor-list floods have drained (a ttl = scope flood originated
-      // in round 2 delivers its last copies in round 2 + scope... strictly the
-      // last on_message fires during round 2 + scope's delivery phase, which
-      // happens after this call; but those messages can only originate from
-      // nodes at distance exactly scope + 1 and are duplicates for us).
-      compute_tree(ctx);
-      flood_payload_and_finish(ctx);
+    if (rel_.enabled) {
+      retransmit_interval_ = std::max<std::uint32_t>(1, rel_.retransmit_base);
+      schedule_retransmit();
     }
     return;
   }
-  // Reliable schedule: flush a dirty list as soon as the round after the
-  // change, compute on the paper's round as usual, and recompute whenever
-  // late input arrived — flooding a new tree version only when the content
-  // actually changed, so retransmissions alone can never look like progress
-  // to the quiescence detector.
+  // Flush a dirty list the round after the change, compute on the paper's
+  // round 2 + scope (every ball list has landed on a lossless channel), and
+  // recompute whenever late input arrived — flooding a new tree version
+  // only when the content actually changed, so retransmissions alone can
+  // never look like progress to the quiescence detector.
   if (list_dirty_) {
     list_dirty_ = false;
     ++list_version_;
     ++progress_;
     advertise_list(ctx);
   }
-  if (local_round_ == 2 + scope && !tree_computed_) {
-    compute_tree(ctx);
-    flood_tree(ctx);
-    tree_flooded_ = true;
+  if (round_ == 2 + config_.flood_scope() && !computed_) {
+    computed_ = true;
+    tree_edges_ = compute_tree();
     ++progress_;
-  } else if (tree_computed_ && recompute_needed_) {
+    flood_tree(ctx);
+  } else if (recompute_needed_) {
     recompute_needed_ = false;
-    std::vector<Edge> fresh = compute_local_tree_edges(config_, ctx.id(), neighbors_, topology_);
+    std::vector<Edge> fresh = compute_tree();
     if (fresh != tree_edges_) {
       tree_edges_ = std::move(fresh);
       ++tree_version_;
       ++progress_;
-      rebuild_heard_edges();
       flood_tree(ctx);
     }
   }
@@ -221,88 +243,77 @@ void RemSpanProtocol::on_round(NodeContext& ctx) {
   // deterministic emission jitter (see emission_jitter): every stream this
   // node originates goes out again with a fresh seq (so FloodManager
   // forwards it, healing downstream gaps) but unchanged content version (so
-  // receivers that already have it stay untouched).
-  if (next_retransmit_ != 0 && local_round_ >= next_retransmit_) {
-    send_hello(ctx);
+  // receivers that already have it stay untouched). A driver-sensed node
+  // repeats no HELLO: its neighbor set does not come from HELLOs.
+  if (next_retransmit_ != 0 && round_ >= next_retransmit_) {
+    if (!driver_sensed_) send_hello(ctx);
     advertise_list(ctx);
-    if (tree_computed_) flood_tree(ctx);
+    if (computed_) flood_tree(ctx);
     retransmit_interval_ =
         std::min(retransmit_interval_ * 2, std::max<std::uint32_t>(1, rel_.backoff_cap));
-    next_retransmit_ = local_round_ + retransmit_interval_ +
-                       emission_jitter(ctx.id(), ++resend_count_, rel_.retransmit_jitter);
-    record_retransmit_obs(ctx.id(), local_round_, retransmit_interval_);
+    schedule_retransmit();
+    record_retransmit_obs(self_, round_, retransmit_interval_);
   }
 }
 
-void RemSpanProtocol::flood_payload_and_finish(NodeContext& ctx) {
-  std::vector<std::uint32_t> payload;
-  payload.reserve(tree_edges_.size() * 2);
-  for (const Edge& e : tree_edges_) {
-    payload.push_back(e.u);
-    payload.push_back(e.v);
+void RemSpanProtocol::hear_hello(NodeId from) {
+  // Repeated HELLOs are idempotent; a genuinely new neighbor after the
+  // round-2 advertisement means the advertised list (and through it the
+  // local topology) was incomplete — re-advertise and recompute.
+  const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), from);
+  if (it != neighbors_.end() && *it == from) return;
+  neighbors_.insert(it, from);
+  ++progress_;
+  if (round_ >= 2) {
+    list_dirty_ = true;
+    if (computed_) recompute_needed_ = true;
   }
-  flood_.originate(ctx, kMsgTree, config_.flood_scope(), std::move(payload));
-  tree_flooded_ = true;
+}
+
+std::optional<std::span<const std::uint32_t>> RemSpanProtocol::accept_fresh(
+    NodeContext& ctx, const Message& msg, std::map<NodeId, std::uint32_t>& accepted) {
+  if (!flood_.accept(ctx, msg)) return std::nullopt;
+  std::span<const std::uint32_t> body(msg.payload);
+  std::uint32_t version = 0;
+  if (rel_.enabled) {
+    REMSPAN_CHECK(!body.empty());
+    version = body.front();
+    body = body.subspan(kVersionPrefixWords);
+  }
+  // Monotone acceptance: delay jitter can deliver version 0 after the
+  // origin already flooded version 1, and retransmissions repeat versions.
+  const auto [seen, first] = accepted.try_emplace(msg.origin, version);
+  if (!first) {
+    if (version <= seen->second) return std::nullopt;
+    seen->second = version;
+  }
+  return body;
 }
 
 void RemSpanProtocol::on_message(NodeContext& ctx, const Message& msg) {
   switch (msg.type) {
-    case kMsgHello: {
-      if (!rel_.enabled) {
-        neighbors_.push_back(msg.origin);
-        break;
-      }
-      // Retransmitted HELLOs are idempotent; a genuinely new neighbor after
-      // the round-2 advertisement means the advertised list (and through it
-      // the local topology) was incomplete — re-advertise and recompute.
-      const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), msg.origin);
-      if (it != neighbors_.end() && *it == msg.origin) break;
-      neighbors_.insert(it, msg.origin);
-      ++progress_;
-      if (local_round_ >= 2) {
-        list_dirty_ = true;
-        if (tree_computed_) recompute_needed_ = true;
-      }
+    case kMsgHello:
+      // A driver-sensed node ignores the content; the delivery is still
+      // accounted.
+      if (!driver_sensed_) hear_hello(msg.origin);
       break;
-    }
     case kMsgNeighborList: {
-      if (!flood_.accept(ctx, msg)) break;
-      if (!rel_.enabled) {
-        std::vector<NodeId> list(msg.payload.begin(), msg.payload.end());
-        topology_.emplace(msg.origin, std::move(list));
-        break;
-      }
-      REMSPAN_CHECK(!msg.payload.empty());
-      const std::uint32_t version = msg.payload[0];
-      const auto seen = list_rx_version_.find(msg.origin);
-      if (seen != list_rx_version_.end() && version <= seen->second) break;  // stale / retransmit
-      list_rx_version_[msg.origin] = version;
-      topology_[msg.origin] =
-          std::vector<NodeId>(msg.payload.begin() + kVersionPrefixWords, msg.payload.end());
+      const auto body = accept_fresh(ctx, msg, list_rx_version_);
+      if (!body) break;
+      lists_[msg.origin].assign(body->begin(), body->end());
       ++progress_;
-      if (tree_computed_) recompute_needed_ = true;
+      if (computed_) recompute_needed_ = true;
       break;
     }
     case kMsgTree: {
-      if (!flood_.accept(ctx, msg)) break;
-      if (!rel_.enabled) {
-        for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-          heard_edges_.push_back(make_edge(msg.payload[i], msg.payload[i + 1]));
-        }
-        break;
-      }
-      REMSPAN_CHECK(!msg.payload.empty());
-      const std::uint32_t version = msg.payload[0];
-      const auto seen = tree_rx_version_.find(msg.origin);
-      if (seen != tree_rx_version_.end() && version <= seen->second) break;  // stale / retransmit
-      tree_rx_version_[msg.origin] = version;
+      const auto body = accept_fresh(ctx, msg, tree_rx_version_);
+      if (!body) break;
       std::vector<Edge> edges;
-      edges.reserve((msg.payload.size() - kVersionPrefixWords) / 2);
-      for (std::size_t i = kVersionPrefixWords; i + 1 < msg.payload.size(); i += 2) {
-        edges.push_back(make_edge(msg.payload[i], msg.payload[i + 1]));
+      edges.reserve(body->size() / 2);
+      for (std::size_t i = 0; i + 1 < body->size(); i += 2) {
+        edges.push_back(make_edge((*body)[i], (*body)[i + 1]));
       }
-      heard_trees_[msg.origin] = std::move(edges);
-      rebuild_heard_edges();
+      trees_[msg.origin] = std::move(edges);
       ++progress_;
       break;
     }
@@ -311,86 +322,122 @@ void RemSpanProtocol::on_message(NodeContext& ctx, const Message& msg) {
   }
 }
 
-void RemSpanProtocol::compute_tree(NodeContext& ctx) {
-  tree_computed_ = true;
-  tree_edges_ = compute_local_tree_edges(config_, ctx.id(), neighbors_, topology_);
-  if (rel_.enabled) {
-    rebuild_heard_edges();
-  } else {
-    heard_edges_.insert(heard_edges_.end(), tree_edges_.begin(), tree_edges_.end());
+std::vector<Edge> RemSpanProtocol::compute_tree() const {
+  if (!driver_sensed_) return compute_local_tree_edges(config_, self_, neighbors_, lists_);
+  // Only the lists the ball walk reaches: stale entries of origins that
+  // left the ball are unreachable from the fresh sensed neighbors, and
+  // under loss the walk tolerates lists still in flight (reconvergence.hpp).
+  std::map<NodeId, std::vector<NodeId>> ball;
+  for (const NodeId v : ball_origins()) {
+    if (const std::vector<NodeId>* list = stored_list(v)) ball.emplace(v, *list);
   }
+  return compute_local_tree_edges(config_, self_, neighbors_, ball);
 }
 
-DistributedRunResult run_remspan_distributed(const Graph& g, const RemSpanConfig& config) {
-  return run_remspan_distributed(g, config, FaultConfig{});
+std::vector<NodeId> RemSpanProtocol::ball_origins() const {
+  std::set<NodeId> reached{self_};
+  std::vector<NodeId> frontier{self_};
+  for (Dist d = 0; d < config_.flood_scope() && !frontier.empty(); ++d) {
+    std::vector<NodeId> next;
+    for (const NodeId w : frontier) {
+      const std::vector<NodeId>* nbrs = w == self_ ? &neighbors_ : stored_list(w);
+      if (nbrs == nullptr) continue;  // still in flight
+      for (const NodeId x : *nbrs) {
+        if (reached.insert(x).second) next.push_back(x);
+      }
+    }
+    frontier = std::move(next);
+  }
+  reached.erase(self_);
+  return {reached.begin(), reached.end()};
 }
 
-namespace {
+std::map<NodeId, std::vector<NodeId>> RemSpanProtocol::ball_lists() const {
+  std::map<NodeId, std::vector<NodeId>> out;
+  for (const NodeId v : ball_origins()) {
+    const std::vector<NodeId>* list = stored_list(v);
+    REMSPAN_CHECK(list != nullptr);
+    out.emplace(v, *list);
+  }
+  return out;
+}
 
-/// Completeness oracle confirming a quiet point of the reliable one-shot
-/// run (reconvergence.hpp, proof-sketch step 4; ground truth here is the
-/// graph itself since sensing is in-band): every node knows its full
-/// neighbor row and holds, for every origin within flood scope, that
-/// origin's current neighbor list and advertised tree, content-equal.
-bool remspan_state_complete(Network& net, const Graph& g, const RemSpanConfig& config,
-                            BoundedBfs& bfs) {
-  const Dist scope = config.flood_scope();
+std::map<NodeId, std::vector<Edge>> RemSpanProtocol::ball_trees() const {
+  std::map<NodeId, std::vector<Edge>> out;
+  out.emplace(self_, tree_edges_);
+  for (const NodeId v : ball_origins()) {
+    const std::vector<Edge>* tree = stored_tree(v);
+    REMSPAN_CHECK(tree != nullptr);
+    out.emplace(v, *tree);
+  }
+  return out;
+}
+
+bool remspan_converged(const Network& net, const RemSpanConfig& config, BoundedBfs& bfs) {
+  const Graph& g = net.graph();
+  const auto node = [&net](NodeId v) -> const RemSpanProtocol& {
+    return dynamic_cast<const RemSpanProtocol&>(net.node(v));
+  };
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& pu = dynamic_cast<const RemSpanProtocol&>(net.node(u));
+    const RemSpanProtocol& pu = node(u);
     if (!pu.settled()) return false;
     const auto row = g.neighbors(u);
     const std::vector<NodeId>& sensed = pu.sensed_neighbors();
-    if (sensed.size() != row.size() || !std::equal(sensed.begin(), sensed.end(), row.begin())) {
-      return false;
-    }
-    bfs.run(GraphView(g), u, scope);
+    if (!std::equal(sensed.begin(), sensed.end(), row.begin(), row.end())) return false;
+    bfs.run(GraphView(g), u, config.flood_scope());
     for (const NodeId o : bfs.order()) {
       if (o == u) continue;
-      const auto& po = dynamic_cast<const RemSpanProtocol&>(net.node(o));
-      const auto list = pu.topology_knowledge().find(o);
-      if (list == pu.topology_knowledge().end() || list->second != po.sensed_neighbors()) {
-        return false;
-      }
-      const auto tree = pu.heard_trees().find(o);
-      if (tree == pu.heard_trees().end() || tree->second != po.tree_edges()) return false;
+      const RemSpanProtocol& po = node(o);
+      const std::vector<NodeId>* list = pu.stored_list(o);
+      if (list == nullptr || *list != po.sensed_neighbors()) return false;
+      const std::vector<Edge>* tree = pu.stored_tree(o);
+      if (tree == nullptr || *tree != po.tree_edges()) return false;
     }
   }
   return true;
 }
 
-}  // namespace
-
-DistributedRunResult run_remspan_distributed(const Graph& g, const RemSpanConfig& config,
-                                             const FaultConfig& faults) {
-  const ReliabilityConfig rel = faults.effective_reliability();
-  Network net(g, [&config, &rel](NodeId) { return std::make_unique<RemSpanProtocol>(config, rel); });
-  if (faults.faulty()) {
-    net.set_link_model(std::make_unique<LinkModel>(faults.link, g.num_nodes()));
-  }
+std::uint32_t run_remspan_epoch(Network& net, const RemSpanConfig& config,
+                                const ReliabilityConfig& rel, BoundedBfs& bfs) {
+  if (!rel.enabled) return net.run(config.round_budget());
   // The window must cover the longest progress-free stretch of the legal
   // schedule: the retransmission/delay bound, but also the quiet rounds
   // between a lone node's advertisement and its scheduled tree compute.
   // A quiet window is only a candidate stop; the completeness oracle
   // confirms it or sends the run back for another window of healing.
-  const std::uint32_t window = std::max(rel.quiescence_window_for(faults.link.max_delay()),
-                                        config.expected_rounds() + 2);
-  BoundedBfs bfs(g.num_nodes());
-  const std::uint32_t rounds =
-      rel.enabled ? net.run_until_quiescent(
-                        window, rel.max_rounds,
-                        [&] { return remspan_state_complete(net, g, config, bfs); })
-                  : net.run(config.round_budget());
+  const std::uint32_t max_delay =
+      net.link_model() != nullptr ? net.link_model()->config().max_delay() : 0;
+  const std::uint32_t window =
+      std::max(rel.quiescence_window_for(max_delay), config.expected_rounds() + 2);
+  return net.run_until_quiescent(window, rel.max_rounds,
+                                 [&] { return remspan_converged(net, config, bfs); });
+}
 
+EdgeSet advertised_spanner(const Network& net) {
+  const Graph& g = net.graph();
   EdgeSet spanner(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& protocol = dynamic_cast<const RemSpanProtocol&>(net.node(v));
-    for (const Edge& e : protocol.tree_edges()) {
+    for (const Edge& e : dynamic_cast<const RemSpanProtocol&>(net.node(v)).tree_edges()) {
       const EdgeId id = g.find_edge(e.u, e.v);
       REMSPAN_CHECK(id != kInvalidEdge);
       spanner.insert(id);
     }
   }
-  return DistributedRunResult{std::move(spanner), net.stats(), rounds};
+  return spanner;
+}
+
+DistributedRunResult run_remspan_distributed(const Graph& g, const RemSpanConfig& config,
+                                             const FaultConfig& faults) {
+  const ReliabilityConfig rel = faults.effective_reliability();
+  Network net(g, [&config, &rel](NodeId v) {
+    return std::make_unique<RemSpanProtocol>(config, v, rel);
+  });
+  if (faults.faulty()) {
+    net.set_link_model(std::make_unique<LinkModel>(faults.link, g.num_nodes()));
+  }
+  BoundedBfs bfs(g.num_nodes());
+  const std::uint32_t rounds = run_remspan_epoch(net, config, rel, bfs);
+  return DistributedRunResult{advertised_spanner(net), net.stats(), rounds};
 }
 
 }  // namespace remspan

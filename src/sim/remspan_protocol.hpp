@@ -11,21 +11,45 @@
 // as derived in the paper. Each node computes its tree from nothing but the
 // neighbor lists it actually received — the tests assert the distributed
 // union equals the centralized construction edge-for-edge.
+//
+// RemSpanProtocol is the one node program behind both drivers. The driver
+// decides how a node senses its links:
+//
+//   * In-band (run_remspan_distributed): HELLOs build the neighbor set. A
+//     reliable node also repeats its HELLO on every retransmission, and a
+//     HELLO from a new neighbor after round 2 re-versions the list. The
+//     compute reads every stored list (one run, so nothing is stale).
+//   * Driver-sensed (ReconvergenceSim, reconvergence.hpp): the driver hands
+//     the sorted neighbor list in through sense_neighbors() and replays the
+//     schedule once per epoch through begin_epoch(). The node still pays
+//     one HELLO per epoch, and its compute reads the lists reachable by a
+//     walk of depth scope from its sensed neighbors, which skips stale
+//     entries for origins that left the ball.
+//
+// Everything else is one path: version-prefixed payloads with monotone
+// acceptance under reliability (a list re-versions only under in-band
+// sensing, so driver-sensed lists keep version 0 and only the first copy
+// per epoch counts), unprefixed payloads on a lossless channel, backoff
+// with emission jitter, recompute on new input with a re-flood only when
+// the tree changed, and one completeness oracle (remspan_converged) and
+// epoch runner (run_remspan_epoch) for both drivers.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/dominating_tree.hpp"
+#include "graph/bfs.hpp"
+#include "graph/edge_set.hpp"
 #include "sim/flooding.hpp"
 #include "sim/link_model.hpp"
 #include "sim/network.hpp"
 
 namespace remspan {
 
-/// Message types of the advertise/compute/flood pipeline, shared by
-/// RemSpanProtocol and the churn-driven ReconvergenceSim protocols.
+/// Message types of the advertise/compute/flood pipeline.
 inline constexpr std::uint32_t kMsgHello = 1;         ///< neighbor discovery, empty payload
 inline constexpr std::uint32_t kMsgNeighborList = 2;  ///< origin's sorted neighbor list
 inline constexpr std::uint32_t kMsgTree = 3;          ///< origin's tree edges as (u,v) pairs
@@ -33,8 +57,8 @@ inline constexpr std::uint32_t kMsgTree = 3;          ///< origin's tree edges a
 /// Under a reliable (retransmitting) configuration the kMsgNeighborList and
 /// kMsgTree payloads carry a leading content-version word so receivers can
 /// discard stale copies regardless of arrival order (delay jitter reorders
-/// floods); the lossless one-shot schedule omits it — content is flooded
-/// exactly once, so there is nothing to order.
+/// floods); on a lossless channel RemSpanProtocol omits it — each stream is
+/// flooded exactly once per epoch, so there is nothing to order.
 inline constexpr std::size_t kVersionPrefixWords = 1;
 
 /// Safety margin added to the exact 1 + 2*scope schedule when capping a
@@ -101,118 +125,156 @@ struct RemSpanConfig {
     const RemSpanConfig& config, NodeId self, const std::vector<NodeId>& neighbors,
     const std::map<NodeId, std::vector<NodeId>>& lists);
 
-/// Telemetry hook for the ack-less retransmission machinery, shared by
-/// RemSpanProtocol and the reconvergence epoch protocol: bumps the
-/// sim.retransmissions counter, records the freshly scheduled backoff
-/// interval (backoff state occupancy), and drops an instant trace event on
-/// the node's simulator lane (ts = round number — deterministic, no wall
-/// clock). Costs one branch per sink when nothing is installed.
-void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t interval);
-
 class RemSpanProtocol : public Protocol {
  public:
   /// With reliability disabled (the default) the node runs the paper's
-  /// exact one-shot schedule — bit-identical wire accounting to the
-  /// pre-fault-layer protocol. With reliability enabled it additionally
-  /// re-advertises HELLO + list + tree with capped exponential backoff,
+  /// exact one-shot schedule. With reliability enabled it additionally
+  /// re-advertises its streams with capped exponential backoff,
   /// version-prefixes the flood payloads, and recomputes its tree whenever
   /// late input arrives, so it converges over a lossy LinkModel channel.
-  explicit RemSpanProtocol(const RemSpanConfig& config, const ReliabilityConfig& rel = {})
-      : config_(config), rel_(rel) {}
+  RemSpanProtocol(const RemSpanConfig& config, NodeId self, const ReliabilityConfig& rel = {})
+      : config_(config), rel_(rel), self_(self) {}
+
+  /// Driver-side link sensing: replaces the neighbor set with `sorted` and
+  /// from then on ignores HELLO contents (see the header comment).
+  void sense_neighbors(std::vector<NodeId> sorted) {
+    neighbors_ = std::move(sorted);
+    driver_sensed_ = true;
+  }
+
+  /// Starts a new epoch. `advertise` nodes rerun the protocol schedule while
+  /// passive nodes only store and forward other nodes' floods;
+  /// `reset_state` additionally discards all accumulated knowledge (the
+  /// full-re-flood strawman's cold start).
+  void begin_epoch(bool advertise, bool reset_state);
 
   void on_round(NodeContext& ctx) override;
   void on_message(NodeContext& ctx, const Message& msg) override;
   /// Reliable nodes never self-declare done: an ack-less sender cannot know
   /// its floods landed, so termination is the quiescence detector's call.
-  [[nodiscard]] bool done() const override { return rel_.enabled ? false : tree_flooded_; }
+  [[nodiscard]] bool done() const override {
+    return !rel_.enabled && (computed_ || !advertise_);
+  }
   [[nodiscard]] std::uint64_t state_version() const override { return progress_; }
 
-  /// This node's dominating tree (global edge endpoints); valid once done().
-  [[nodiscard]] const std::vector<Edge>& tree_edges() const { return tree_edges_; }
+  /// This node's advertised tree (global edge endpoints).
+  [[nodiscard]] const std::vector<Edge>& tree_edges() const noexcept { return tree_edges_; }
 
-  /// Every tree edge this node has heard about (its own plus received
-  /// TREE floods) — the node-local view of the spanner.
-  [[nodiscard]] const std::vector<Edge>& heard_tree_edges() const { return heard_edges_; }
-
-  /// Neighbor lists this node accumulated (origin -> list); exposed for the
-  /// locality tests.
-  [[nodiscard]] const std::map<NodeId, std::vector<NodeId>>& topology_knowledge() const {
-    return topology_;
-  }
-
-  // Read-only hooks for the driver's completeness oracle (reliable mode;
-  // see run_remspan_distributed and reconvergence.hpp proof-sketch step 4).
-  /// True once nothing is scheduled locally: the tree is computed and no
-  /// re-advertisement or recompute is pending over the inputs so far.
-  [[nodiscard]] bool settled() const noexcept {
-    return tree_computed_ && !recompute_needed_ && !list_dirty_;
-  }
-  /// The neighbor set accumulated from HELLOs, sorted ascending (valid
-  /// from local round 2 on).
+  /// The current neighbor set, sorted ascending: accumulated from HELLOs
+  /// under in-band sensing, as handed in by sense_neighbors() otherwise.
   [[nodiscard]] const std::vector<NodeId>& sensed_neighbors() const noexcept {
     return neighbors_;
   }
-  /// Latest accepted tree per origin (reliable mode backing of
-  /// heard_tree_edges()).
-  [[nodiscard]] const std::map<NodeId, std::vector<Edge>>& heard_trees() const noexcept {
-    return heard_trees_;
+
+  /// Every neighbor list this node stored (origin -> list); exposed for
+  /// the locality tests.
+  [[nodiscard]] const std::map<NodeId, std::vector<NodeId>>& topology_knowledge() const noexcept {
+    return lists_;
+  }
+  /// Stored list / tree of `origin`, or nullptr if none arrived.
+  [[nodiscard]] const std::vector<NodeId>* stored_list(NodeId origin) const;
+  [[nodiscard]] const std::vector<Edge>* stored_tree(NodeId origin) const;
+
+  /// True once nothing is scheduled locally: passive, or the tree is
+  /// computed and no re-advertisement or recompute is pending over the
+  /// inputs accepted so far.
+  [[nodiscard]] bool settled() const noexcept {
+    return !advertise_ || (computed_ && !recompute_needed_ && !list_dirty_);
   }
 
+  /// The stored lists of the scope-ball around this node (walked over its
+  /// stored lists from its sensed neighbors; self excluded) — exactly what
+  /// a driver-sensed node's next tree computation reads. Every origin the
+  /// walk reaches must have a stored list (REMSPAN_CHECKed).
+  [[nodiscard]] std::map<NodeId, std::vector<NodeId>> ball_lists() const;
+  /// The latest tree per ball origin, with this node's own under `self`.
+  [[nodiscard]] std::map<NodeId, std::vector<Edge>> ball_trees() const;
+
  private:
-  void compute_tree(NodeContext& ctx);
-  void flood_payload_and_finish(NodeContext& ctx);
-  // Reliable-mode helpers (rel_.enabled only).
   void send_hello(NodeContext& ctx);
   void advertise_list(NodeContext& ctx);
   void flood_tree(NodeContext& ctx);
-  void rebuild_heard_edges();
+  /// Sets the next retransmission round from the current interval plus the
+  /// per-(node, resend) emission jitter.
+  void schedule_retransmit();
+  /// In-band sensing: records a HELLO sender, re-versioning the list when
+  /// the neighbor is new after the round-2 advertisement.
+  void hear_hello(NodeId from);
+  /// Flood acceptance plus monotone version acceptance per origin; returns
+  /// the payload without its version word, or nullopt for a duplicate or
+  /// stale copy.
+  std::optional<std::span<const std::uint32_t>> accept_fresh(
+      NodeContext& ctx, const Message& msg, std::map<NodeId, std::uint32_t>& accepted);
+  [[nodiscard]] std::vector<Edge> compute_tree() const;
+  /// Sorted origins reached by a depth-scope walk over the stored lists,
+  /// skipping origins whose list has not arrived (self excluded).
+  [[nodiscard]] std::vector<NodeId> ball_origins() const;
 
   RemSpanConfig config_;
   ReliabilityConfig rel_;
+  NodeId self_;
   FloodManager flood_;
-  std::vector<NodeId> neighbors_;                     // from HELLO
-  std::map<NodeId, std::vector<NodeId>> topology_;    // origin -> its neighbors
-  std::vector<Edge> tree_edges_;
-  std::vector<Edge> heard_edges_;
-  std::uint32_t local_round_ = 0;
-  bool tree_computed_ = false;
-  bool tree_flooded_ = false;
-  // Reliable mode only: progress counter for the quiescence detector,
-  // content versions of the own streams, accepted version per origin and
-  // stream (monotone acceptance makes delayed reordered copies harmless),
-  // per-origin trees backing heard_edges_, and the retransmission clock.
+  bool driver_sensed_ = false;
+  std::vector<NodeId> neighbors_;                // sorted
+  std::map<NodeId, std::vector<NodeId>> lists_;  // origin -> latest neighbor list
+  std::map<NodeId, std::vector<Edge>> trees_;    // origin -> latest tree
+  std::vector<Edge> tree_edges_;                 // own advertised tree
+  // Per-epoch schedule: local round, role, compute state.
+  std::uint32_t round_ = 0;
+  bool advertise_ = true;
+  bool computed_ = false;
+  bool list_dirty_ = false;        // list changed since last advertisement
+  bool recompute_needed_ = false;  // tree inputs changed since last compute
+  // Quiescence-progress counter (monotone across epochs), content versions
+  // of the own streams, accepted version per origin and stream (monotone
+  // acceptance makes delayed reordered copies harmless), and the
+  // retransmission clock (reliable mode only).
   std::uint64_t progress_ = 0;
   std::uint32_t list_version_ = 0;
   std::uint32_t tree_version_ = 0;
-  bool list_dirty_ = false;       // content changed since last advertisement
-  bool recompute_needed_ = false; // tree inputs changed since last compute
   std::map<NodeId, std::uint32_t> list_rx_version_;
   std::map<NodeId, std::uint32_t> tree_rx_version_;
-  std::map<NodeId, std::vector<Edge>> heard_trees_;
   std::uint32_t retransmit_interval_ = 0;
   std::uint32_t next_retransmit_ = 0;
   std::uint32_t resend_count_ = 0;  // feeds the per-node emission jitter
 };
 
-/// Runs the protocol on g and returns the union of all computed trees as an
-/// EdgeSet of g, plus the stats of the run.
+/// The completeness oracle behind confirmed quiescence (reconvergence.hpp,
+/// proof-sketch step 4): true iff every RemSpanProtocol node of `net` is
+/// settled, senses exactly its row of net.graph(), and holds, for every
+/// origin within flood_scope() of it, that origin's current neighbor list
+/// and advertised tree, content-equal. `bfs` is scratch sized for the graph.
+[[nodiscard]] bool remspan_converged(const Network& net, const RemSpanConfig& config,
+                                     BoundedBfs& bfs);
+
+/// Runs one convergence epoch of RemSpanProtocol nodes — the one epoch
+/// runner of both drivers. Lossless: run(round_budget()). Reliable: until
+/// a quiet window confirmed by remspan_converged, the window covering the
+/// retransmission period plus the attached link model's maximum delay.
+/// @return rounds executed.
+std::uint32_t run_remspan_epoch(Network& net, const RemSpanConfig& config,
+                                const ReliabilityConfig& rel, BoundedBfs& bfs);
+
+/// Union of every node's advertised tree as an EdgeSet of net.graph() —
+/// the network-wide view of the spanner RemSpanProtocol nodes maintain.
+[[nodiscard]] EdgeSet advertised_spanner(const Network& net);
+
+/// Result of one run of the protocol on a graph.
 struct DistributedRunResult {
-  EdgeSet spanner;
+  EdgeSet spanner;  ///< union of all computed trees, as an EdgeSet of g
   NetworkStats stats;
   std::uint32_t rounds = 0;
 };
-[[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g,
-                                                           const RemSpanConfig& config);
 
-/// As above, but over a faulted channel: attaches a LinkModel built from
-/// `faults.link` and, whenever the channel is faulty (or reliability was
-/// requested explicitly), runs the reliable protocol variant until the
-/// quiescence detector fires. For a faultless default FaultConfig this is
-/// byte-identical to the two-argument overload. The convergence-under-loss
-/// contract (reconvergence.hpp) applies: for any loss rate < 1 the returned
-/// spanner equals the lossless run's spanner edge-for-edge.
+/// Runs the protocol on g with in-band sensing. A faulty `faults.link`
+/// attaches a LinkModel, and whenever the channel is faulty (or reliability
+/// was requested explicitly) the reliable protocol runs until the
+/// quiescence detector fires; the default runs the paper's exact lossless
+/// schedule. The convergence-under-loss contract (reconvergence.hpp)
+/// applies: for any loss rate < 1 the returned spanner equals the lossless
+/// run's spanner edge-for-edge.
 [[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g,
                                                            const RemSpanConfig& config,
-                                                           const FaultConfig& faults);
+                                                           const FaultConfig& faults = {});
 
 }  // namespace remspan

@@ -2,12 +2,15 @@
 // node failures, mid-protocol topology changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/kconn_oracle.hpp"
 #include "analysis/stretch_oracle.hpp"
 #include "core/remote_spanner.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
+#include "sim/reconvergence.hpp"
 #include "sim/remspan_protocol.hpp"
 #include "sim/routing.hpp"
 #include "util/rng.hpp"
@@ -123,22 +126,38 @@ TEST(NodeFailure, TwoConnectingSpannerSurvivesAnySingleRelay) {
 }
 
 TEST(TopologyChange, ProtocolConvergesOnNewGraphAfterSwap) {
-  // Start the protocol on g1, swap to g2 mid-flight (dropping in-flight
-  // messages), then run fresh protocol instances: the advertised spanner
-  // must match the centralized construction for g2 — the paper's
-  // "stabilizes after T + 2F" periodic-refresh behaviour.
+  // Converge the protocol on g1, then swap the whole topology to g2 as one
+  // churn batch (the g1 -> g2 edge delta): the advertised spanner must
+  // match the centralized construction for g2 — the paper's "stabilizes
+  // after T + 2F" behaviour — for both strategies, over a lossless and a
+  // lossy channel.
   const Graph g1 = cycle_graph(16);
   Rng rng(915);
   const Graph g2 = connected_gnp(16, 0.3, rng);
+  const GraphDelta delta = diff_graphs(g1, g2);
+  std::vector<GraphEvent> swap;
+  for (const Edge& e : delta.removed) swap.push_back(GraphEvent::edge_down(e.u, e.v));
+  for (const Edge& e : delta.inserted) swap.push_back(GraphEvent::edge_up(e.u, e.v));
+  ASSERT_FALSE(swap.empty());
   RemSpanConfig cfg;
   cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
   cfg.k = 1;
-  Network net(g1, [&cfg](NodeId) { return std::make_unique<RemSpanProtocol>(cfg); });
-  net.run(1);  // partial run on the old topology
-  net.change_topology(g2);
-  // Periodic refresh = fresh protocol round on the new topology.
-  const auto rerun = run_remspan_distributed(g2, cfg);
-  EXPECT_EQ(rerun.spanner, build_k_connecting_spanner(g2, 1));
+  FaultConfig lossy;
+  lossy.link.drop = 0.2;
+  lossy.link.seed = 916;
+  for (const auto strategy :
+       {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
+    for (const FaultConfig& faults : {FaultConfig{}, lossy}) {
+      ReconvergenceSim sim(g1, cfg, strategy, faults);
+      ASSERT_EQ(sim.spanner().edge_list(), build_k_connecting_spanner(g1, 1).edge_list());
+      const auto stats = sim.apply_batch(swap);
+      EXPECT_EQ(stats.removed_edges, delta.removed.size());
+      EXPECT_EQ(stats.inserted_edges, delta.inserted.size());
+      EXPECT_TRUE(std::ranges::equal(sim.graph().edges(), g2.edges()));
+      EXPECT_EQ(sim.spanner().edge_list(), build_k_connecting_spanner(g2, 1).edge_list())
+          << strategy_name(strategy) << " faulty=" << faults.faulty();
+    }
+  }
 }
 
 TEST(Routing, SurvivesPartialSpannerGracefully) {

@@ -231,9 +231,14 @@ TEST(Reconvergence, LosslessRunsStopAtExactlyThePredictedRound) {
     const auto fresh = run_remspan_distributed(g, cfg);
     EXPECT_EQ(fresh.rounds, cfg.expected_rounds()) << cfg.kind_name();
 
-    // The churn driver's cold start follows the same exact schedule...
+    // The churn driver's cold start follows the same exact schedule, with
+    // the same messages and the same spanner as the one-shot run...
     ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kIncremental);
     EXPECT_EQ(sim.initial_stats().rounds, cfg.expected_rounds()) << cfg.kind_name();
+    EXPECT_EQ(sim.initial_stats().transmissions, fresh.stats.transmissions) << cfg.kind_name();
+    EXPECT_EQ(sim.initial_stats().receptions, fresh.stats.receptions) << cfg.kind_name();
+    EXPECT_EQ(sim.initial_stats().payload_words, fresh.stats.payload_words) << cfg.kind_name();
+    EXPECT_EQ(sim.spanner().edge_list(), fresh.spanner.edge_list()) << cfg.kind_name();
 
     // ...and so does every non-empty lossless batch.
     const Edge e = g.edges()[3];

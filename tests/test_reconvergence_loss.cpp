@@ -243,19 +243,43 @@ TEST(ReconvergenceLoss, LossCostsRoundsNotCorrectness) {
 
 TEST(ReconvergenceLoss, DistributedRunUnderLossMatchesLosslessSpanner) {
   // The one-shot driver (run_remspan_distributed) under faults: the
-  // reliable RemSpanProtocol variant must union to the identical spanner.
+  // reliable RemSpanProtocol with in-band sensing must union to the
+  // identical spanner. Its lossy schedule is pinned exactly too, so a
+  // change to the node program that shifts any kind's retransmission
+  // pattern fails here, not only in the one golden config.
+  struct Pinned {
+    std::uint32_t rounds;
+    std::uint64_t transmissions, receptions, payload_words, drops;
+  };
   Rng rng(39);
   const Graph g = connected_gnp(42, 0.14, rng);
-  for (const RemSpanConfig& cfg : {make_config(RemSpanConfig::Kind::kKConnGreedy),
-                                   make_config(RemSpanConfig::Kind::kLowStretchMis, 3),
-                                   make_config(RemSpanConfig::Kind::kOlsrMpr)}) {
+  const struct {
+    RemSpanConfig cfg;
+    Pinned at_p05, at_p30;
+  } cases[] = {
+      {make_config(RemSpanConfig::Kind::kKConnGreedy),
+       {57, 1089, 5668, 6744, 328},
+       {109, 1929, 7437, 11841, 3273}},
+      {make_config(RemSpanConfig::Kind::kLowStretchMis, 3),
+       {82, 20888, 115415, 453887, 6265},
+       {202, 34231, 141803, 756291, 60397}},
+      {make_config(RemSpanConfig::Kind::kOlsrMpr),
+       {58, 1078, 5584, 6449, 322},
+       {87, 1560, 6013, 9104, 2603}},
+  };
+  for (const auto& [cfg, at_p05, at_p30] : cases) {
     const auto lossless = run_remspan_distributed(g, cfg);
-    for (const double p : {0.05, 0.3}) {
+    for (const auto& [p, pin] : {std::pair{0.05, at_p05}, std::pair{0.3, at_p30}}) {
       const auto lossy = run_remspan_distributed(g, cfg, iid_faults(p, 0, 1, 14));
       EXPECT_EQ(lossy.spanner.edge_list(), lossless.spanner.edge_list())
           << cfg.kind_name() << " p=" << p;
       EXPECT_GE(lossy.rounds, lossless.rounds) << cfg.kind_name();
       EXPECT_GT(lossy.stats.drops, 0u) << cfg.kind_name();
+      EXPECT_EQ(lossy.rounds, pin.rounds) << cfg.kind_name() << " p=" << p;
+      EXPECT_EQ(lossy.stats.transmissions, pin.transmissions) << cfg.kind_name() << " p=" << p;
+      EXPECT_EQ(lossy.stats.receptions, pin.receptions) << cfg.kind_name() << " p=" << p;
+      EXPECT_EQ(lossy.stats.payload_words, pin.payload_words) << cfg.kind_name() << " p=" << p;
+      EXPECT_EQ(lossy.stats.drops, pin.drops) << cfg.kind_name() << " p=" << p;
     }
   }
 }

@@ -114,7 +114,7 @@ TEST(RemSpanProtocol, TopologyKnowledgeIsLocal) {
   cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;
   cfg.r = 3;
   cfg.beta = 1;  // scope 3
-  Network net(g, [&cfg](NodeId) { return std::make_unique<RemSpanProtocol>(cfg); });
+  Network net(g, [&cfg](NodeId v) { return std::make_unique<RemSpanProtocol>(cfg, v); });
   net.run(cfg.expected_rounds() + 2);
   const auto& p0 = dynamic_cast<const RemSpanProtocol&>(net.node(0));
   for (const auto& [origin, list] : p0.topology_knowledge()) {
