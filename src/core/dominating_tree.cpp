@@ -1,6 +1,7 @@
 #include "core/dominating_tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 #include <utility>
 
@@ -8,15 +9,30 @@
 
 namespace remspan {
 
+namespace {
+
+/// Bits set in w, in the SWAR form. std::popcount on the default x86-64
+/// target (no POPCNT) is an out-of-line libgcc call per word, which the
+/// cover scan cannot afford; this inlines to a dozen ALU ops, and GCC turns
+/// it back into the POPCNT instruction when the target has one.
+[[nodiscard]] constexpr std::uint32_t popcount64(std::uint64_t w) noexcept {
+  w -= (w >> 1) & 0x5555555555555555U;
+  w = (w & 0x3333333333333333U) + ((w >> 2) & 0x3333333333333333U);
+  w = (w + (w >> 4)) & 0x0F0F0F0F0F0F0F0FU;
+  return static_cast<std::uint32_t>((w * 0x0101010101010101U) >> 56);
+}
+
+}  // namespace
+
 DomTreeBuilder::DomTreeBuilder(const Graph& g)
     : g_(&g),
       bfs_(g.num_nodes()),
       in_s_(g.num_nodes(), 0),
       in_x_(g.num_nodes(), 0),
-      cov_(g.num_nodes(), 0),
       rem_(g.num_nodes(), 0),
       branches_(g.num_nodes()),
-      nbr_u_(g.num_nodes(), 0) {}
+      nbr_u_(g.num_nodes(), 0),
+      slot_(g.num_nodes(), 0) {}
 
 void DomTreeBuilder::rebind(const Graph& g) {
   REMSPAN_CHECK(g.num_nodes() == static_cast<NodeId>(in_s_.size()));
@@ -45,15 +61,13 @@ void DomTreeBuilder::add_parent_chain(RootedTree& tree, NodeId x) {
 void DomTreeBuilder::publish_stats(const RootedTree& tree) {
   // Always drained, so a sink installed mid-process starts from zero
   // instead of inheriting tallies of builds it never saw.
-  const std::uint64_t pops = std::exchange(stat_heap_pops_, 0);
-  const std::uint64_t rekeys = std::exchange(stat_heap_rekeys_, 0);
-  const std::uint64_t touches = std::exchange(stat_cover_touches_, 0);
+  const std::uint64_t picks = std::exchange(stat_picks_, 0);
+  const std::uint64_t evals = std::exchange(stat_cover_evals_, 0);
   if (obs::Registry* m = obs::metrics()) {
     obs::ThreadCells& cells = m->local();
     cells.add(obs::Metric::kDomtreeBuilds, 1);
-    cells.add(obs::Metric::kDomtreeHeapPops, pops);
-    cells.add(obs::Metric::kDomtreeHeapRekeys, rekeys);
-    cells.add(obs::Metric::kDomtreeCoverTouches, touches);
+    cells.add(obs::Metric::kDomtreeHeapPops, picks);
+    cells.add(obs::Metric::kDomtreeCoverTouches, evals);
     cells.record(obs::Metric::kDomtreeTreeEdges, tree.num_edges());
   }
 }
@@ -62,12 +76,118 @@ void DomTreeBuilder::reset_flags() {
   for (const NodeId v : bfs_.order()) {
     in_s_[v] = 0;
     in_x_[v] = 0;
-    cov_[v] = 0;
     rem_[v] = 0;
     branches_[v].clear();
     nbr_u_[v] = 0;
   }
-  heap_.clear();
+}
+
+template <std::size_t kWords>
+void DomTreeBuilder::cover_words(std::span<const NodeId> target,
+                                 std::span<const NodeId> candidates, Dist k) {
+  const std::size_t w = kWords != 0 ? kWords : (target.size() + 63) / 64;
+  alive_.assign(w, 0);
+  for (std::size_t i = 0; i < target.size(); ++i) {
+    slot_[target[i]] = static_cast<std::uint32_t>(i + 1);
+    alive_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+
+  // One mask per candidate, built branch-free: a node outside S (slot 0)
+  // ORs a zero bit into word 0, so the ~50/50 shell-membership test never
+  // costs a misprediction. A candidate covering nothing is never stored.
+  cand_.clear();
+  cand_.reserve(candidates.size());
+  masks_.resize(candidates.size() * w);
+  for (const NodeId x : candidates) {
+    std::uint64_t* mask = masks_.data() + cand_.size() * w;
+    std::fill_n(mask, w, 0);
+    std::uint64_t any = 0;
+    const auto mark = [&](NodeId v) {
+      const std::uint32_t s = slot_[v];
+      const std::uint32_t i = s - 1 + static_cast<std::uint32_t>(s == 0);
+      const std::uint64_t bit = std::uint64_t{s != 0} << (i % 64);
+      mask[kWords == 1 ? 0 : i / 64] |= bit;
+      any |= bit;
+    };
+    mark(x);
+    for (const NodeId y : g_->neighbors(x)) mark(y);
+    if (any != 0) cand_.push_back(x);
+  }
+
+  std::size_t left = target.size();
+  if (k > 1) {
+    need_.assign(left, k);
+    reach_.assign(left, 0);
+    for (std::size_t i = 0; i < cand_.size() * w; ++i) {
+      for (std::uint64_t bits = masks_[i]; bits != 0; bits &= bits - 1) {
+        ++reach_[(i % w) * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      }
+    }
+  }
+  picks_.clear();
+  while (left > 0) {
+    // Greedy set-cover pick: the candidate covering the most live slots,
+    // ties to the smallest id — the largest (cover, ~id) key. The same
+    // branch-free pass compacts away candidates whose cover reached zero
+    // (covers never grow, so they can never be picked).
+    std::uint64_t best_key = 0;
+    std::size_t best = 0;
+    std::size_t kept = 0;
+    stat_cover_evals_ += cand_.size();
+    for (std::size_t c = 0; c < cand_.size(); ++c) {
+      const std::uint64_t* mask = masks_.data() + c * w;
+      std::uint32_t cover = 0;
+      for (std::size_t i = 0; i < w; ++i) cover += popcount64(mask[i] & alive_[i]);
+      const NodeId x = cand_[c];
+      const std::uint64_t key = (std::uint64_t{cover} << 32) | static_cast<std::uint32_t>(~x);
+      if (key > best_key) {
+        best_key = key;
+        best = kept;
+      }
+      cand_[kept] = x;
+      std::uint64_t* dst = masks_.data() + kept * w;
+      for (std::size_t i = 0; i < w; ++i) dst[i] = mask[i];
+      kept += cover != 0 ? 1 : 0;
+    }
+    cand_.resize(kept);
+    const auto best_cover = static_cast<std::uint32_t>(best_key >> 32);
+    // Every live slot keeps an unpicked candidate reaching it (its BFS
+    // predecessor, or by the k >= 2 reach rule), so the greedy never stalls
+    // (Proposition 2's argument).
+    REMSPAN_CHECK(best_cover > 0);
+    ++stat_picks_;
+    picks_.push_back(cand_[best]);
+    std::uint64_t* mask = masks_.data() + best * w;
+    if (k == 1) {
+      for (std::size_t i = 0; i < w; ++i) alive_[i] &= ~mask[i];
+      left -= best_cover;
+    } else {
+      for (std::size_t i = 0; i < w; ++i) {
+        for (std::uint64_t bits = mask[i] & alive_[i]; bits != 0; bits &= bits - 1) {
+          const int b = std::countr_zero(bits);
+          const std::size_t s = i * 64 + static_cast<std::size_t>(b);
+          // Covered k times, or no unpicked candidate reaches it any more.
+          if (--need_[s] == 0 || --reach_[s] == 0) {
+            alive_[i] &= ~(std::uint64_t{1} << b);
+            --left;
+          }
+        }
+      }
+    }
+    std::fill_n(mask, w, 0);  // picked: the next pass drops it
+  }
+  for (const NodeId v : target) slot_[v] = 0;
+}
+
+void DomTreeBuilder::select_cover(std::span<const NodeId> target,
+                                  std::span<const NodeId> candidates, Dist k) {
+  // Shells of at most 64 nodes — every root of a unit-disk graph at
+  // benchmark density — compile the same body with the width fixed at one.
+  if (target.size() <= 64) {
+    cover_words<1>(target, candidates, k);
+  } else {
+    cover_words<0>(target, candidates, k);
+  }
 }
 
 RootedTree DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
@@ -76,63 +196,22 @@ RootedTree DomTreeBuilder::greedy(NodeId u, Dist r, Dist beta) {
   const Dist depth_needed = std::max(r, r - 1 + beta);
   bfs_.run(GraphView(*g_), u, depth_needed);
 
-  // cover(x) = |({x} ∪ N(x)) ∩ S|: recomputed only for candidates that
-  // surface at the top of the lazy heap (see pop_best_candidate).
-  auto live_cover = [&](NodeId x) {
-    std::uint32_t cover = in_s_[x];
-    for (const NodeId y : g_->neighbors(x)) cover += in_s_[y];
-    return cover;
-  };
-
   for (Dist shell = 2; shell <= r; ++shell) {
     // S := nodes at distance exactly `shell` — one contiguous BFS slice;
-    // X := nodes in the distance range [shell-1, shell-1+beta].
+    // X := nodes in the distance range [shell-1, shell-1+beta], each
+    // covering ({x} ∪ N(x)) ∩ S.
     const auto s_nodes = bfs_.shell(shell);
-    std::size_t s_count = s_nodes.size();
-    if (s_count == 0) continue;
-    for (const NodeId v : s_nodes) in_s_[v] = 1;
-
+    if (s_nodes.empty()) continue;
     // Clamp the candidate range to shells that exist: shells past the ball's
     // eccentricity are empty, and a huge beta must not spin over them.
     const Dist x_hi = static_cast<Dist>(std::min<std::uint64_t>(
         std::uint64_t{shell} - 1 + beta, bfs_.num_shells() - 1));
-
-    heap_.clear();
-    for (Dist d = shell - 1; d <= x_hi; ++d) {
-      for (const NodeId x : bfs_.shell(d)) {
-        in_x_[x] = 1;
-        const std::uint32_t cover = live_cover(x);
-        if (cover > 0) heap_.push_back({heap_key(cover, x), s_epoch_});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end());
-
-    while (s_count > 0) {
-      // Greedy set-cover pick: the candidate outside M covering the most
-      // still-uncovered shell nodes; ties go to the smallest id.
-      const NodeId best = pop_best_candidate(/*unpicked=*/1, live_cover);
-      // Uncovered shell nodes always retain an unpicked BFS predecessor in
-      // X, so the greedy can never stall (Proposition 2's argument).
-      REMSPAN_CHECK(best != kInvalidNode);
-      in_x_[best] = 2;
-      add_parent_chain(tree, best);
-      if (in_s_[best] != 0) {
-        in_s_[best] = 0;
-        --s_count;
-      }
-      for (const NodeId y : g_->neighbors(best)) {
-        if (in_s_[y] != 0) {
-          in_s_[y] = 0;
-          --s_count;
-        }
-      }
-      ++s_epoch_;  // a positive-cover pick always shrank S
-    }
-    for (Dist d = shell - 1; d <= x_hi; ++d) {
-      for (const NodeId x : bfs_.shell(d)) in_x_[x] = 0;
-    }
+    // Shells are contiguous in the BFS order, so X is one slice of it.
+    const auto x_lo_shell = bfs_.shell(shell - 1);
+    const auto x_hi_shell = bfs_.shell(x_hi);
+    select_cover(s_nodes, {x_lo_shell.data(), x_hi_shell.data() + x_hi_shell.size()}, 1);
+    for (const NodeId x : picks_) add_parent_chain(tree, x);
   }
-  reset_flags();
   publish_stats(tree);
   return tree;
 }
@@ -172,50 +251,11 @@ RootedTree DomTreeBuilder::greedy_k(NodeId u, Dist k) {
   RootedTree tree(u);
   bfs_.run(GraphView(*g_), u, 2);
 
-  // S := distance-2 shell. cov_[v] counts |N(v) ∩ M|, rem_[v] counts the
-  // common neighbors of v and u not yet picked into M.
-  const auto s_nodes = bfs_.shell(2);
-  std::size_t s_count = s_nodes.size();
-  for (const NodeId v : s_nodes) in_s_[v] = 1;
-  for (const NodeId x : g_->neighbors(u)) {
-    for (const NodeId y : g_->neighbors(x)) {
-      if (in_s_[y] != 0) ++rem_[y];
-    }
-  }
-  // cover(x) = |N(x) ∩ S| per relay candidate x ∈ N(u); lazy-heap picks as
-  // in greedy(), revalidated against this on pop.
-  auto live_cover = [&](NodeId x) {
-    std::uint32_t cover = 0;
-    for (const NodeId y : g_->neighbors(x)) cover += in_s_[y];
-    return cover;
-  };
-  heap_.clear();
-  for (const NodeId x : g_->neighbors(u)) {
-    const std::uint32_t cover = live_cover(x);
-    if (cover > 0) heap_.push_back({heap_key(cover, x), s_epoch_});
-  }
-  std::make_heap(heap_.begin(), heap_.end());
-
-  while (s_count > 0) {
-    const NodeId best = pop_best_candidate(/*unpicked=*/0, live_cover);
-    REMSPAN_CHECK(best != kInvalidNode);
-    in_x_[best] = 1;
-    tree.add_child(u, best, bfs_.parent_edge(best));
-    bool removed = false;
-    for (const NodeId y : g_->neighbors(best)) {
-      if (in_s_[y] == 0) continue;
-      ++cov_[y];
-      --rem_[y];
-      // Covered k times, or every common neighbor is now in M: done with y.
-      if (cov_[y] >= k || rem_[y] == 0) {
-        in_s_[y] = 0;
-        --s_count;
-        removed = true;
-      }
-    }
-    if (removed) ++s_epoch_;
-  }
-  reset_flags();
+  // S := distance-2 shell, covered by relay candidates x ∈ N(u), each
+  // covering N(x) ∩ S. A shell node needs k relays, or every common
+  // neighbor it has with u.
+  select_cover(bfs_.shell(2), g_->neighbors(u), k);
+  for (const NodeId x : picks_) tree.add_child(u, x, bfs_.parent_edge(x));
   publish_stats(tree);
   return tree;
 }

@@ -19,8 +19,8 @@
 // each result is a genuine tree with d_T(u,x) = d_G(u,x).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bfs.hpp"
@@ -34,15 +34,16 @@ namespace remspan {
 /// and reset in O(|ball|) so building trees for every root of a graph costs
 /// the sum of local work, not n times global resets.
 ///
-/// The greedy set-cover picks (greedy / greedy_k) run off a lazy max-heap
-/// of cover counts instead of rescanning every candidate per pick: cover
-/// counts only decrease within a round, so a heap entry recorded at push
-/// time is an upper bound on the live count — stale entries are popped,
-/// re-validated against the live count, and the first entry that matches is
-/// the true maximum (see pop_best_candidate). Ties break on smallest id
-/// (encoded into the heap key), which keeps every pick — and therefore
-/// every tree — bit-identical to the quadratic reference scan
-/// (test_domtree_equivalence.cpp pins this down).
+/// The greedy set-cover picks (greedy / greedy_k) share one word-parallel
+/// kernel (select_cover). Each call gives its cover target S (the distance-2
+/// shell, or greedy's current shell) dense slots 0..|S|-1 and stores one
+/// bitmask per candidate x: N(x) ∩ S, plus x itself when x ∈ S. A pick is
+/// then the candidate maximizing popcount(mask & alive) over ceil(|S|/64)
+/// words — one word for every shell of at most 64 nodes — with ties broken
+/// on smallest id. Covers only shrink within a round, so a candidate whose
+/// count reaches zero is dropped for good. Every pick, and therefore every
+/// tree, is bit-identical to the quadratic reference scan
+/// (test_domtree_equivalence.cpp pins this down, wide shells included).
 class DomTreeBuilder {
  public:
   explicit DomTreeBuilder(const Graph& g);
@@ -72,96 +73,65 @@ class DomTreeBuilder {
   /// tree. Requires x to be reached by the last bfs_ run from tree.root().
   void add_parent_chain(RootedTree& tree, NodeId x);
 
-  /// Clears the per-node flags for every node the last BFS touched.
+  /// Clears mis / mis_k's per-node flags for every node the last BFS
+  /// touched. The greedy builders keep no per-node state but slot_, which
+  /// select_cover releases itself.
   void reset_flags();
 
-  /// Adds the whole-build tallies (heap pops, lazy re-keys, cover-count
-  /// recomputations) into the installed metrics sink and zeroes them. The
+  /// Adds the whole-build tallies (greedy picks, candidate-cover
+  /// evaluations) into the installed metrics sink and zeroes them. The
   /// tallies themselves are plain members bumped unconditionally — the
-  /// sink branch happens once per tree build, not per heap operation.
+  /// sink branch happens once per tree build, not per pick.
   void publish_stats(const RootedTree& tree);
 
-  /// Heap key for the lazy max-heap: higher cover first, then smaller id
-  /// (ids are stored complemented so the default max-heap order does both).
-  [[nodiscard]] static constexpr std::uint64_t heap_key(std::uint32_t cover,
-                                                        NodeId id) noexcept {
-    return (std::uint64_t{cover} << 32) | static_cast<std::uint32_t>(~id);
-  }
+  /// Greedy k-cover of `target` (the cover target S) by `candidates`:
+  /// candidate x covers N(x) ∩ S, plus x itself when x ∈ S. Repeatedly
+  /// picks the unpicked candidate covering the most live slots (smallest id
+  /// on ties) into picks_, in pick order, until S is empty. k = 1 retires
+  /// every slot the pick covers; k >= 2 retires a slot once it is covered
+  /// k times or once no unpicked candidate reaches it, so the live set is
+  /// S minus the k-covered slots, intersected with the union of the
+  /// unpicked masks.
+  void select_cover(std::span<const NodeId> target, std::span<const NodeId> candidates,
+                    Dist k);
 
-  /// Pops the unpicked candidate with the maximum live cover count (smallest
-  /// id on ties) off heap_. `unpicked` is the in_x_ value marking a
-  /// still-pickable candidate; `live_cover(x)` recomputes x's current cover
-  /// in O(deg x). Returns kInvalidNode when no candidate with a positive
-  /// cover count remains (the greedy-stall condition).
-  ///
-  /// Lazy validation (Minoux's accelerated greedy): every entry's recorded
-  /// count is an upper bound on the live count because covers only decrease
-  /// within a round. An entry that surfaces stale is re-pushed at its live
-  /// count; the first entry that validates is the true (max cover, min id)
-  /// pick. Only candidates that reach the top are ever recomputed, so a
-  /// pick costs O(pops · deg) instead of O(|X| · deg) — and an entry whose
-  /// epoch shows S unchanged since its count was recorded validates with no
-  /// recompute at all (callers bump s_epoch_ on every removal from S).
-  template <typename CoverFn>
-  [[nodiscard]] NodeId pop_best_candidate(std::uint8_t unpicked, CoverFn&& live_cover) {
-    while (!heap_.empty()) {
-      ++stat_heap_pops_;
-      const HeapEntry entry = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      const auto recorded = static_cast<std::uint32_t>(entry.key >> 32);
-      const auto x = static_cast<NodeId>(~entry.key);
-      if (in_x_[x] != unpicked) continue;  // picked: every remaining entry is dead
-      if (entry.epoch == s_epoch_) return x;  // S untouched since recording: exact
-      ++stat_cover_touches_;
-      const std::uint32_t live = live_cover(x);
-      if (live == 0) continue;  // covers never increase: permanently useless
-      if (live != recorded) {
-        ++stat_heap_rekeys_;
-        push_candidate(live, x);
-        continue;
-      }
-      return x;
-    }
-    return kInvalidNode;
-  }
-
-  void push_candidate(std::uint32_t cover, NodeId x) {
-    heap_.push_back(HeapEntry{heap_key(cover, x), s_epoch_});
-    std::push_heap(heap_.begin(), heap_.end());
-  }
+  /// select_cover's body for masks of kWords words (0: ceil(|S| / 64),
+  /// read at run time).
+  template <std::size_t kWords>
+  void cover_words(std::span<const NodeId> target, std::span<const NodeId> candidates,
+                   Dist k);
 
   const Graph* g_;
   BoundedBfs bfs_;
-  // in_s_: node still needs covering; cov_: generic per-node counter;
+  // in_s_: node still needs covering (mis, mis_k); in_x_: mis_k's round
+  // candidates; rem_: mis_k's available common neighbors per shell node;
   // branches_: distinct tree branches adjacent to a shell node (mis_k).
   std::vector<std::uint8_t> in_s_;
   std::vector<std::uint8_t> in_x_;
-  std::vector<Dist> cov_;
   std::vector<Dist> rem_;
   std::vector<std::vector<NodeId>> branches_;
-  /// Lazy-heap entry: key orders by (cover, smallest id); epoch is the
-  /// s_epoch_ value at which the cover was recorded (exact iff unchanged).
-  struct HeapEntry {
-    std::uint64_t key;
-    std::uint32_t epoch;
-    [[nodiscard]] bool operator<(const HeapEntry& o) const noexcept { return key < o.key; }
-  };
-
   // nbr_u_: marks N(root) so mis_k's attach-point test is an O(1) flag
   // load instead of a per-neighbor adjacency search.
   std::vector<std::uint8_t> nbr_u_;
-  // heap_: lazy max-heap over heap_key(cover, id);
   // shell_sorted_: per-shell id-order scratch (mis, mis_k).
-  std::vector<HeapEntry> heap_;
   std::vector<NodeId> shell_sorted_;
-  // Bumped once per batch of removals from the cover target set S; heap
-  // entries recorded at the current epoch need no revalidation.
-  std::uint32_t s_epoch_ = 0;
+
+  // Set-cover kernel scratch (select_cover). slot_[v] is 1 + v's slot in
+  // the target S, 0 outside it; masks_ holds one mask per candidate,
+  // parallel to cand_; alive_ marks the slots still to cover. need_ (covers
+  // still missing) and reach_ (unpicked candidates still reaching the slot)
+  // are per-slot counters for k >= 2.
+  std::vector<std::uint32_t> slot_;
+  std::vector<NodeId> cand_;
+  std::vector<std::uint64_t> masks_;
+  std::vector<std::uint64_t> alive_;
+  std::vector<Dist> need_;
+  std::vector<Dist> reach_;
+  std::vector<NodeId> picks_;
+
   // Whole-build observability tallies (see publish_stats).
-  std::uint64_t stat_heap_pops_ = 0;
-  std::uint64_t stat_heap_rekeys_ = 0;
-  std::uint64_t stat_cover_touches_ = 0;
+  std::uint64_t stat_picks_ = 0;
+  std::uint64_t stat_cover_evals_ = 0;
 };
 
 // --- property checkers (used by tests and the approximation benches) -------

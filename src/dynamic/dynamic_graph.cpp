@@ -48,11 +48,24 @@ bool DynamicGraph::edge_live(const Edge& e) const {
          std::binary_search(adj_[e.u].begin(), adj_[e.u].end(), e.v);
 }
 
+void DynamicGraph::check_event(const GraphEvent& event) const {
+  switch (event.kind) {
+    case GraphEventKind::kEdgeUp:
+    case GraphEventKind::kEdgeDown:
+      REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
+      break;
+    case GraphEventKind::kNodeUp:
+    case GraphEventKind::kNodeDown:
+      REMSPAN_CHECK(event.u < n_);
+      break;
+  }
+}
+
 bool DynamicGraph::apply(const GraphEvent& event) {
+  check_event(event);
   bool changed = false;
   switch (event.kind) {
     case GraphEventKind::kEdgeUp:
-      REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
       changed = row_insert(adj_[event.u], event.v);
       if (changed) {
         row_insert(adj_[event.v], event.u);
@@ -61,7 +74,6 @@ bool DynamicGraph::apply(const GraphEvent& event) {
       }
       break;
     case GraphEventKind::kEdgeDown:
-      REMSPAN_CHECK(event.u < n_ && event.v < n_ && event.u != event.v);
       changed = row_erase(adj_[event.u], event.v);
       if (changed) {
         row_erase(adj_[event.v], event.u);
@@ -70,13 +82,11 @@ bool DynamicGraph::apply(const GraphEvent& event) {
       }
       break;
     case GraphEventKind::kNodeUp:
-      REMSPAN_CHECK(event.u < n_);
       changed = up_[event.u] == 0;
       up_[event.u] = 1;
       if (changed) pending_nodes_.push_back(event.u);
       break;
     case GraphEventKind::kNodeDown:
-      REMSPAN_CHECK(event.u < n_);
       changed = up_[event.u] != 0;
       up_[event.u] = 0;
       if (changed) pending_nodes_.push_back(event.u);
@@ -87,6 +97,11 @@ bool DynamicGraph::apply(const GraphEvent& event) {
 }
 
 std::size_t DynamicGraph::apply_all(std::span<const GraphEvent> events) {
+  // Validate the whole batch first: a bad event anywhere must throw before
+  // the first cell changes, or callers layered on this graph (the
+  // incremental engine, the service, the C ABI session) would see stored
+  // state their own snapshots never diffed in.
+  for (const GraphEvent& e : events) check_event(e);
   std::size_t changed = 0;
   for (const GraphEvent& e : events) changed += apply(e) ? 1 : 0;
   return changed;

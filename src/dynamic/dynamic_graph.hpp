@@ -84,6 +84,9 @@ class DynamicGraph {
   bool apply(const GraphEvent& event);
 
   /// Applies a batch in order; returns how many events changed state.
+  /// All-or-nothing: every event is validated (as apply() would) before
+  /// the first one is applied, so a rejected batch throws CheckError with
+  /// the graph — and its version() — untouched.
   std::size_t apply_all(std::span<const GraphEvent> events);
 
   /// Immutable CSR snapshot of the live topology: stored edges whose two
@@ -100,6 +103,10 @@ class DynamicGraph {
 
  private:
   [[nodiscard]] bool edge_live(const Edge& e) const;
+
+  /// Trips a check unless the event's endpoints are in range and an edge
+  /// event is not a self-loop.
+  void check_event(const GraphEvent& event) const;
 
   NodeId n_ = 0;
   /// Stored adjacency (sorted rows), liveness-agnostic.

@@ -30,7 +30,6 @@ enum class Metric : std::uint16_t {
   kBfsFrontierMax,
   kDomtreeBuilds,
   kDomtreeHeapPops,
-  kDomtreeHeapRekeys,
   kDomtreeCoverTouches,
   kDomtreeTreeEdges,
   kUnionBuilds,
@@ -94,9 +93,8 @@ inline constexpr MetricDef kCatalog[] = {
     {Metric::kBfsShellNodes, "bfs.shell_nodes", Kind::kHistogram, "nodes", "shell width per (run, radius)"},
     {Metric::kBfsFrontierMax, "bfs.frontier_max", Kind::kHistogram, "nodes", "widest shell per run"},
     {Metric::kDomtreeBuilds, "domtree.builds", Kind::kCounter, "trees", "dominating-tree builds"},
-    {Metric::kDomtreeHeapPops, "domtree.heap_pops", Kind::kCounter, "pops", "priority-queue pops"},
-    {Metric::kDomtreeHeapRekeys, "domtree.heap_rekeys", Kind::kCounter, "rekeys", "priority-queue key updates"},
-    {Metric::kDomtreeCoverTouches, "domtree.cover_touches", Kind::kCounter, "touches", "cover-set updates"},
+    {Metric::kDomtreeHeapPops, "domtree.heap_pops", Kind::kCounter, "picks", "greedy set-cover picks"},
+    {Metric::kDomtreeCoverTouches, "domtree.cover_touches", Kind::kCounter, "evals", "candidate-cover evaluations (one masked popcount over a candidate's words)"},
     {Metric::kDomtreeTreeEdges, "domtree.tree_edges", Kind::kHistogram, "edges", "edges per built tree"},
     {Metric::kUnionBuilds, "union.builds", Kind::kCounter, "builds", "union-of-trees builds"},
     {Metric::kUnionTrees, "union.trees", Kind::kCounter, "trees", "per-root trees fed into unions"},

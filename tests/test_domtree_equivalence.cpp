@@ -1,14 +1,18 @@
-// Bit-exactness of the optimized hot path: the incremental lazy-heap
-// greedy covers, the shell-bucketed MIS, and the shared atomic spanner
-// union must reproduce the pre-optimization behavior EXACTLY — same picks
-// in the same order, same trees, same edge sets. The reference
-// implementations below are verbatim ports of the original quadratic scans
-// (recompute-every-candidate-per-pick, whole-ball rescans per shell,
-// per-worker partial unions); any divergence in pick order, tie-breaking or
-// attachment shows up as a node/edge mismatch here.
+// Bit-exactness of the optimized hot path: the word-parallel shell-bitmask
+// greedy covers (one or several 64-bit words per candidate), the
+// shell-bucketed MIS, and the shared atomic spanner union must reproduce
+// the pre-optimization behavior EXACTLY — same picks in the same order,
+// same trees, same edge sets. The reference implementations below are
+// verbatim ports of the original quadratic scans (recompute-every-candidate-
+// per-pick, whole-ball rescans per shell, per-worker partial unions); any
+// divergence in pick order, tie-breaking or attachment shows up as a
+// node/edge mismatch here. The wide-shell cases run graphs whose cover
+// targets span several mask words, which the shared corpus never reaches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dominating_tree.hpp"
@@ -346,6 +350,72 @@ TEST(DomTreeEquivalence, MisKMatchesReferenceAcrossFamiliesAndK) {
           expect_identical_trees(fast.mis_k(u, k), ref.mis_k(u, k),
                                  "mis_k graph=" + std::to_string(which) +
                                      " seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
+                                     " u=" + std::to_string(u));
+        }
+      }
+    }
+  }
+}
+
+/// Graphs whose cover targets overflow one mask word. The shared corpus
+/// stops at 48 nodes, so none of its shells exceeds 64 slots; these do.
+/// Dense Gnp(220, 0.2) has distance-2 shells of ~170 nodes (three words);
+/// in K_{3,150} every root on the large side sees the other 149 large-side
+/// nodes at distance 2 through only 3 relays, so k > 3 ends by the
+/// "no unpicked candidate reaches it" rule; sparse Gnp(400, 0.03) adds
+/// wide distance-3 shells for greedy at r = 3.
+std::vector<std::pair<std::string, Graph>> wide_shell_graphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  Rng dense(16);
+  graphs.emplace_back("gnp220", connected_gnp(220, 0.2, dense));
+  graphs.emplace_back("k3_150", complete_bipartite(3, 150));
+  Rng sparse(17);
+  graphs.emplace_back("gnp400", connected_gnp(400, 0.03, sparse));
+  return graphs;
+}
+
+/// Widest distance-`d` shell over every root of g.
+std::size_t widest_shell(const Graph& g, Dist d) {
+  BoundedBfs bfs(g.num_nodes());
+  std::size_t widest = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    bfs.run(GraphView(g), u, d);
+    widest = std::max(widest, bfs.shell(d).size());
+  }
+  return widest;
+}
+
+TEST(DomTreeEquivalence, WideShellGraphsNeedSeveralMaskWords) {
+  const auto graphs = wide_shell_graphs();
+  EXPECT_GT(widest_shell(graphs[0].second, 2), 128u);
+  EXPECT_GT(widest_shell(graphs[1].second, 2), 128u);
+  EXPECT_GT(widest_shell(graphs[2].second, 3), 128u);
+}
+
+TEST(DomTreeEquivalence, GreedyKMatchesReferenceOnWideShells) {
+  for (const auto& [name, g] : wide_shell_graphs()) {
+    DomTreeBuilder fast(g);
+    ReferenceBuilder ref(g);
+    for (const Dist k : {1u, 2u, 3u, 5u}) {
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        expect_identical_trees(fast.greedy_k(u, k), ref.greedy_k(u, k),
+                               "greedy_k graph=" + name + " k=" + std::to_string(k) +
+                                   " u=" + std::to_string(u));
+      }
+    }
+  }
+}
+
+TEST(DomTreeEquivalence, GreedyMatchesReferenceOnWideShells) {
+  for (const auto& [name, g] : wide_shell_graphs()) {
+    DomTreeBuilder fast(g);
+    ReferenceBuilder ref(g);
+    for (const Dist r : {2u, 3u}) {
+      for (const Dist beta : {0u, 1u, 2u}) {
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          expect_identical_trees(fast.greedy(u, r, beta), ref.greedy(u, r, beta),
+                                 "greedy graph=" + name + " r=" + std::to_string(r) +
+                                     " beta=" + std::to_string(beta) +
                                      " u=" + std::to_string(u));
         }
       }

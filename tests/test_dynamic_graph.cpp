@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "dynamic/churn_trace.hpp"
 #include "dynamic/dynamic_graph.hpp"
@@ -50,6 +52,32 @@ TEST(DynamicGraph, OutOfRangeTripsCheck) {
   EXPECT_THROW(dg.apply(GraphEvent::edge_up(0, 3)), CheckError);
   EXPECT_THROW(dg.apply(GraphEvent::node_down(3)), CheckError);
   EXPECT_THROW((void)dg.apply(GraphEvent{GraphEventKind::kEdgeUp, 1, 1}), CheckError);
+}
+
+TEST(DynamicGraph, ApplyAllIsAllOrNothing) {
+  // A bad event anywhere in the batch throws before the first cell changes:
+  // the valid edge_up ahead of it must not be stored.
+  const Graph g = cycle_graph(6);
+  DynamicGraph dg(g);
+  const NodeId n = dg.num_nodes();
+  const NodeId x = 3;
+  ASSERT_FALSE(dg.has_edge(0, x));
+  const std::uint64_t v0 = dg.version();
+  const auto before = dg.snapshot();
+  const std::vector<GraphEvent> bad = {GraphEvent::edge_up(0, x), GraphEvent::edge_up(0, n + 5)};
+  EXPECT_THROW((void)dg.apply_all(bad), CheckError);
+  EXPECT_FALSE(dg.has_edge(0, x));
+  EXPECT_EQ(dg.version(), v0);
+  const std::vector<GraphEvent> bad_node = {GraphEvent::node_down(1),
+                                            GraphEvent{GraphEventKind::kEdgeDown, 2, 2}};
+  EXPECT_THROW((void)dg.apply_all(bad_node), CheckError);
+  EXPECT_TRUE(dg.node_up(1));
+  EXPECT_EQ(dg.version(), v0);
+  EXPECT_EQ(dg.snapshot(), before);  // same cached snapshot: nothing changed
+  // The same graph accepts the valid prefix afterwards.
+  EXPECT_EQ(dg.apply_all(std::span(bad).first(1)), 1u);
+  EXPECT_TRUE(dg.has_edge(0, x));
+  EXPECT_EQ(dg.version(), v0 + 1);
 }
 
 TEST(DynamicGraph, NodeDownMasksEdgesAndUpRestores) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "core/dominating_tree.hpp"
 #include "dynamic/churn_trace.hpp"
 #include "dynamic/dynamic_graph.hpp"
@@ -171,6 +172,33 @@ TEST(IncrementalSpanner, NoOpAndEmptyBatchesLeaveSpannerUntouched) {
   EXPECT_EQ(stats.applied_events, 0u);
   EXPECT_EQ(stats.dirty_roots, 0u);
   EXPECT_EQ(inc.spanner(), before);
+}
+
+TEST(IncrementalSpanner, RejectedBatchLeavesSessionConsistent) {
+  // A batch with one out-of-range event throws before the session's graph
+  // changes, so the engine and its DynamicGraph stay in step and the next
+  // valid batch is maintained bit-exactly.
+  const Graph g = make_family(0, 5);
+  const api::SpannerSpec spec = api::parse_spanner_spec("th2?k=1");
+  const auto session = api::open_incremental_session(g, spec);
+  const NodeId n = g.num_nodes();
+  NodeId x = 1;
+  while (g.has_edge(0, x)) ++x;
+  const std::uint64_t v0 = session->dynamic_graph().version();
+  const std::vector<GraphEvent> bad = {GraphEvent::edge_up(0, x), GraphEvent::edge_up(0, n + 5)};
+  EXPECT_THROW((void)session->apply_batch(bad), CheckError);
+  EXPECT_FALSE(session->dynamic_graph().has_edge(0, x));
+  EXPECT_EQ(session->dynamic_graph().version(), v0);
+  EXPECT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
+
+  const Edge e = g.edge(0);
+  const std::vector<GraphEvent> good = {GraphEvent::edge_up(0, x),
+                                        GraphEvent::edge_down(e.u, e.v)};
+  const ChurnBatchStats stats = session->apply_batch(good);
+  EXPECT_EQ(stats.applied_events, 2u);
+  EXPECT_TRUE(session->graph().has_edge(0, x));
+  EXPECT_EQ(session->graph().num_edges(), g.num_edges());
+  EXPECT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
 }
 
 TEST(IncrementalSpanner, MaskedEdgeChurnBehindDownNodeIsInvisible) {
