@@ -174,9 +174,10 @@ class IncrementalSession {
   [[nodiscard]] IncrementalSpanner& engine() noexcept { return *engine_; }
   [[nodiscard]] const IncrementalSpanner& engine() const noexcept { return *engine_; }
 
-  /// Shorthands for the common queries.
-  [[nodiscard]] const Graph& graph() const noexcept { return engine_->graph(); }
-  [[nodiscard]] const EdgeSet& spanner() const noexcept { return engine_->spanner(); }
+  /// Shorthands for the common queries (built lazily per version; they
+  /// trip a check while the engine is stale, see IncrementalSpanner).
+  [[nodiscard]] const Graph& graph() const { return engine_->graph(); }
+  [[nodiscard]] const EdgeSet& spanner() const { return engine_->spanner(); }
   ChurnBatchStats apply_batch(std::span<const GraphEvent> events) {
     return engine_->apply_batch(events);
   }

@@ -49,10 +49,9 @@ class DomTreeBuilder {
   explicit DomTreeBuilder(const Graph& g);
 
   /// Re-targets the builder at a new graph over the same node universe
-  /// (num_nodes must match — all scratch arrays are sized by it). The
-  /// incremental engine rebuilds dirty roots against every new snapshot
-  /// with the same per-worker builders instead of reallocating the O(n)
-  /// scratch each batch.
+  /// (num_nodes must match — all scratch arrays are sized by it), so a
+  /// caller rebuilding roots against a sequence of snapshots (perfbench's
+  /// traced dynamic replay) keeps its O(n) scratch across them.
   void rebind(const Graph& g);
 
   /// Algorithm 1: (r, beta)-dominating tree for u. Requires r >= 2.

@@ -12,16 +12,23 @@
 // distances for removals, new ones for insertions). Per batch of updates
 // the engine
 //
-//   1. diffs the old and new snapshots (diff_graphs: exact edge delta plus
-//      the old-id -> new-id map),
+//   1. takes the delta from the batch: DynamicGraph::apply_all reports the
+//      net removed and inserted live edges with their slots (stable edge
+//      ids, dynamic_graph.hpp) — no snapshot, no diff;
 //   2. expands the dirty-root set with one multi-source bounded BFS of
-//      radius dirty_radius() from the touched endpoints in each snapshot,
-//   3. retires the dirty roots' old tree edges from a per-edge refcount
-//      union (refcount = how many roots' trees currently contain the edge),
-//      remaps the surviving refcounts into the new edge-id space,
-//   4. re-runs only the dirty roots' tree builds on the thread pool and
-//      re-adds their edges, and
-//   5. re-derives the spanner bitset as {e : refcount[e] > 0}.
+//      radius dirty_radius() per side: removals on the pre-batch view
+//      (live rows minus inserted plus removed edges), insertions on the
+//      live view;
+//   3. rebuilds the dirty roots' trees into staging through the same
+//      cluster engine as the full build (shard_engine.hpp), reading the
+//      DynamicGraph rows directly;
+//   4. commits: retires the dirty roots' old tree slots from the per-slot
+//      refcount union (refcount = how many roots' trees contain the edge),
+//      installs the staged trees and adds their slots back, tracking |H|
+//      as refcounts cross zero — nothing in the commit can throw; and
+//   5. leaves the CSR lazy: graph() and spanner() build the canonical
+//      snapshot and its CSR-indexed bits on first use per version.
+// Every step costs the delta, not the graph.
 //
 // Equivalence guarantee: after every batch the maintained spanner is
 // bit-exact equal to a from-scratch build on the same snapshot
@@ -30,10 +37,18 @@
 // changed — every changed edge has both endpoints beyond dirty_radius()
 // from their root in both snapshots, so everything their deterministic
 // tree build reads is identical.
+//
+// A change made to the DynamicGraph behind the engine's back (or a batch
+// that threw after the graph changed) leaves the engine stale: graph(),
+// spanner() and the per-edge queries then trip a check, and the next
+// apply_batch resyncs with one full build instead of applying a delta it
+// never saw.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,6 +57,8 @@
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/bfs.hpp"
 #include "graph/edge_set.hpp"
+#include "obs/obs.hpp"
+#include "shard/shard_engine.hpp"
 
 namespace remspan {
 
@@ -89,16 +106,54 @@ struct IncrementalConfig {
   [[nodiscard]] const char* name() const noexcept;
 };
 
+/// The dirty-root expansion over any pair of views: the sorted set of
+/// roots within `radius` hops of a removed-edge endpoint in `old_view` or
+/// of an inserted-edge endpoint in `new_view`, one multi-source bounded
+/// BFS per non-empty side (see collect_dirty_roots_split for why the
+/// per-side expansion is exact). `flag` is per-node scratch sized to the
+/// node universe that must be all zero and is left all zero, so the cost
+/// is the two balls, not n.
+template <NeighborView OldView, NeighborView NewView>
+void expand_dirty_roots(const OldView& old_view, const NewView& new_view,
+                        std::span<const NodeId> removed_touched,
+                        std::span<const NodeId> inserted_touched, Dist radius, BoundedBfs& bfs,
+                        std::vector<std::uint8_t>& flag, std::vector<NodeId>& dirty) {
+  dirty.clear();
+  const auto take = [&](const std::vector<NodeId>& ball) {
+    for (const NodeId v : ball) {
+      if (flag[v] != 0) continue;
+      flag[v] = 1;
+      dirty.push_back(v);
+    }
+  };
+  // Per-side expansion cost: how many nodes each dependency-ball sweep
+  // visits is the telemetry that tells removal-heavy from insertion-heavy
+  // batches apart (docs/OBSERVABILITY.md).
+  if (!removed_touched.empty()) {
+    const std::vector<NodeId>& old_ball = bfs.run_multi(old_view, removed_touched, radius);
+    obs::add(obs::Metric::kIncExpandOldNodes, old_ball.size());
+    take(old_ball);
+  }
+  if (!inserted_touched.empty()) {
+    const std::vector<NodeId>& new_ball = bfs.run_multi(new_view, inserted_touched, radius);
+    obs::add(obs::Metric::kIncExpandNewNodes, new_ball.size());
+    take(new_ball);
+  }
+  for (const NodeId v : dirty) flag[v] = 0;
+  std::sort(dirty.begin(), dirty.end());
+}
+
 /// Computes the sorted set of roots within `radius` hops of a touched
 /// endpoint in either snapshot (removals dirty roots at old distances,
 /// insertions at new ones) with one multi-source bounded BFS per snapshot.
 ///
 /// This is the locality primitive shared by the whole dynamic stack: the
-/// IncrementalSpanner rebuilds exactly these roots' trees per batch, and
-/// the protocol-level ReconvergenceSim (src/sim/reconvergence.hpp) scopes
-/// re-advertisement to the same set — with radius = flood scope, these are
-/// precisely the nodes whose B(u, scope) topology knowledge may have
-/// changed.
+/// IncrementalSpanner rebuilds exactly these roots' trees per batch (it
+/// runs the same expansion, expand_dirty_roots, on DynamicGraph views
+/// instead of snapshots), and the protocol-level ReconvergenceSim
+/// (src/sim/reconvergence.hpp) scopes re-advertisement to the same set —
+/// with radius = flood scope, these are precisely the nodes whose
+/// B(u, scope) topology knowledge may have changed.
 ///
 /// @param old_graph  Snapshot before the batch (same node universe as new).
 /// @param new_graph  Snapshot after the batch.
@@ -106,7 +161,8 @@ struct IncrementalConfig {
 /// @param radius     Ball radius of the expansion, in hops.
 /// @param bfs        Scratch BFS sized to the node universe (reused across
 ///                   batches to avoid reallocation).
-/// @param flag       Scratch per-node byte vector; resized/cleared inside.
+/// @param flag       Per-node byte vector, resized and cleared inside; on
+///                   return flag[v] != 0 exactly for the dirty roots.
 /// @return           Dirty roots in increasing node-id order.
 [[nodiscard]] std::vector<NodeId> collect_dirty_roots(const Graph& old_graph,
                                                       const Graph& new_graph,
@@ -157,62 +213,83 @@ struct ChurnBatchStats {
 
 class IncrementalSpanner {
  public:
-  /// Builds the full spanner on the dynamic graph's current snapshot,
-  /// recording every root's tree edges and the per-edge refcounts. The
+  /// Builds the full spanner on the dynamic graph's current topology,
+  /// recording every root's tree slots and the per-slot refcounts. The
   /// DynamicGraph must outlive the engine.
   IncrementalSpanner(DynamicGraph& graph, IncrementalConfig config);
 
   [[nodiscard]] const IncrementalConfig& config() const noexcept { return config_; }
 
-  /// The snapshot the maintained spanner refers to.
-  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
+  /// The live topology the maintained spanner refers to, as a canonical
+  /// CSR snapshot (DynamicGraph::snapshot(), built on the first call after
+  /// a batch that changed it).
+  [[nodiscard]] const Graph& graph() const;
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// The maintained remote-spanner over graph().
-  [[nodiscard]] const EdgeSet& spanner() const noexcept { return spanner_; }
+  /// The maintained remote-spanner over graph(). Its CSR-indexed bits are
+  /// built on the first call after a batch that changed it, in one
+  /// sequential pass through DynamicGraph::snapshot_slots().
+  [[nodiscard]] const EdgeSet& spanner() const;
 
   /// Applies a batch of updates to the dynamic graph and patches the
-  /// spanner. Safe to call with an empty or all-no-op batch.
+  /// spanner. Safe to call with an empty or all-no-op batch. A stale engine
+  /// (see the header comment) applies the batch and then resyncs with one
+  /// full build.
   ChurnBatchStats apply_batch(std::span<const GraphEvent> events);
 
   /// Roots rebuilt by the last apply_batch (sorted). A superset of the
   /// roots whose trees actually changed — tests assert both directions.
   [[nodiscard]] const std::vector<NodeId>& last_dirty_roots() const noexcept { return dirty_; }
 
-  /// How many roots' trees currently contain edge `id` (current snapshot's
-  /// id space). The spanner contains exactly the edges with refcount > 0.
-  [[nodiscard]] std::uint32_t edge_refcount(EdgeId id) const {
-    REMSPAN_CHECK(id < ref_.size());
-    return ref_[id];
-  }
+  /// How many roots' trees currently contain edge `id` (graph()'s id
+  /// space). The spanner contains exactly the edges with refcount > 0.
+  [[nodiscard]] std::uint32_t edge_refcount(EdgeId id) const;
 
   /// Current dominating-tree edges of `root` as canonical node pairs.
-  [[nodiscard]] const std::vector<Edge>& tree_edges(NodeId root) const {
-    REMSPAN_CHECK(root < trees_.size());
-    return trees_[root];
-  }
+  [[nodiscard]] std::vector<Edge> tree_edges(NodeId root) const;
 
  private:
+  /// Builds every tree on the canonical snapshot (the static engine, so a
+  /// full build costs and counts exactly what a from-scratch build does)
+  /// and re-keys the results by slot.
   void full_build();
-  void rebuild_spanner_bits();
+  /// Rebuilds the dirty roots through the cluster engine on the live view
+  /// into staged_, parallel to order_. Touches no committed state.
+  void stage_dirty_trees();
+  /// Swaps the staged trees in and moves the refcounts; cannot throw.
+  void commit(ChurnBatchStats& stats) noexcept;
+  /// Trips a check unless the engine is at its DynamicGraph's version.
+  void check_current() const;
 
   DynamicGraph* dynamic_;
   IncrementalConfig config_;
-  std::shared_ptr<const Graph> graph_;
   std::uint64_t version_ = 0;
-  /// Per-root tree edges as node pairs: stable across snapshots, so clean
-  /// roots carry zero per-batch cost (edge ids would need remapping).
-  std::vector<std::vector<Edge>> trees_;
-  /// Per-edge tree refcount in the current snapshot's id space. Updated
-  /// concurrently (std::atomic_ref) during the retire/rebuild phases.
+  /// Per-root tree edges as slots: stable across batches, so clean roots
+  /// carry zero per-batch cost.
+  std::vector<std::vector<EdgeId>> trees_;
+  /// Per-slot tree refcount; the spanner is {slot : ref_[slot] > 0}.
   std::vector<std::uint32_t> ref_;
-  EdgeSet spanner_;
-  /// Whole-graph builders for the dirty-root rebuilds, one per pool worker
-  /// id, allocated by the first batch that rebuilds.
-  std::vector<std::unique_ptr<DomTreeBuilder>> builders_;
+  /// |H|: the slots with a positive refcount.
+  std::size_t spanner_edges_ = 0;
+
+  // Per-batch scratch, kept across batches so a batch allocates nothing
+  // sized by the graph.
+  BatchDelta delta_;
+  std::vector<DeltaArc> removed_arcs_;
+  std::vector<DeltaArc> inserted_arcs_;
+  std::vector<NodeId> removed_touched_;
+  std::vector<NodeId> inserted_touched_;
   std::vector<NodeId> dirty_;
-  std::vector<std::uint8_t> dirty_flag_;
+  std::vector<std::uint8_t> flag_;  ///< all-zero per-node scratch
   BoundedBfs dirty_bfs_;
+  ClusterEngine engine_;
+  std::vector<NodeId> order_;                 ///< dirty roots in cluster order
+  std::vector<std::vector<EdgeId>> staged_;   ///< rebuilt trees, parallel to order_
+
+  // Lazy CSR views of the current topology, dropped by every batch that
+  // changes it (a batch with an empty delta keeps them).
+  mutable std::shared_ptr<const Graph> graph_;
+  mutable std::optional<EdgeSet> spanner_;
 };
 
 }  // namespace remspan

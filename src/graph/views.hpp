@@ -21,11 +21,12 @@ concept NeighborView = requires(const V& view, NodeId u) {
   view.for_each_neighbor(u, [](NodeId) {});
 };
 
-/// A NeighborView whose edges carry the underlying Graph's edge ids:
-/// view.for_each_neighbor_edge(u, fn(v, edge_id)). BFS records the parent
-/// edge id of every reached node over such views, which is what lets the
-/// dominating-tree builders hand whole tree edges (not just endpoints) to
-/// the spanner union without any adjacency search.
+/// A NeighborView whose edges carry ids: view.for_each_neighbor_edge(u,
+/// fn(v, edge_id)). BFS records the parent edge id of every reached node
+/// over such views, which is what lets the dominating-tree builders hand
+/// whole tree edges (not just endpoints) to the spanner union without any
+/// adjacency search. The ids are the underlying edge store's: a Graph's
+/// EdgeIds here, DynamicGraph slots for its LiveView (dynamic_graph.hpp).
 template <typename V>
 concept EdgeNeighborView = NeighborView<V> && requires(const V& view, NodeId u) {
   view.for_each_neighbor_edge(u, [](NodeId, EdgeId) {});

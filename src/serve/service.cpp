@@ -19,6 +19,33 @@ const char* admission_name(Admission a) noexcept {
   return "unknown";
 }
 
+/// The published epoch of one tenant: a plain shared_ptr behind its own
+/// mutex, held only for a pointer copy or swap. Readers copy the pointer
+/// and drop the lock; only the current drainer stores (epoch-monotone by
+/// the single-drainer invariant). libstdc++ 12's
+/// std::atomic<std::shared_ptr> hides its internal lock from
+/// ThreadSanitizer, which then reports every store/load pair as a race;
+/// this lock is one TSan can see.
+class PublishedSnapshot {
+ public:
+  [[nodiscard]] std::shared_ptr<const SpannerSnapshot> load() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return ptr_;
+  }
+
+  void store(std::shared_ptr<const SpannerSnapshot> next) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ptr_.swap(next);
+    }
+    // `next` now holds the previous epoch; it is released outside the lock.
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::shared_ptr<const SpannerSnapshot> ptr_;
+};
+
 /// All per-tenant state. Lock order service-wide: mu_ may be taken while
 /// holding no tenant lock or by a thread that holds no tenant lock; a
 /// tenant's mu is never held when taking mu_ (schedule() runs on the
@@ -33,8 +60,7 @@ struct SpannerService::Tenant {
     info.epoch = 0;
     info.graph_version = session->dynamic_graph().version();
     snap.store(std::make_shared<const SpannerSnapshot>(session->dynamic_graph().snapshot(),
-                                                       session->spanner().bits(), info),
-               std::memory_order_release);
+                                                       session->spanner().bits(), info));
     stats.graph_version = info.graph_version;
     stats.spanner_edges = session->spanner().size();
   }
@@ -56,9 +82,8 @@ struct SpannerService::Tenant {
   /// Scheduling flag: true while the tenant sits in (or is headed for) the
   /// ready ring. Outside `mu` so producers can flag without the lock.
   std::atomic<bool> queued{false};
-  /// The published epoch. Readers load without any lock; only the current
-  /// drainer stores (epoch-monotone by the single-drainer invariant).
-  std::atomic<std::shared_ptr<const SpannerSnapshot>> snap;
+  /// The published epoch (readers never take `mu`).
+  PublishedSnapshot snap;
   std::vector<std::vector<GraphEvent>> journal;
 };
 
@@ -263,7 +288,7 @@ SpannerService::DrainResult SpannerService::drain_pass(Tenant& t) {
   {
     obs::PhaseSpan span("serve.publish_epoch", "serve");
     const ChurnBatchStats bs = t.session->apply_batch(batch);
-    const auto prev = t.snap.load(std::memory_order_acquire);
+    const auto prev = t.snap.load();
     SnapshotInfo info;
     info.epoch = prev->epoch() + 1;
     info.graph_version = t.session->dynamic_graph().version();
@@ -277,7 +302,7 @@ SpannerService::DrainResult SpannerService::drain_pass(Tenant& t) {
   bool more = false;
   {
     std::lock_guard<std::mutex> lk(t.mu);
-    t.snap.store(next, std::memory_order_release);
+    t.snap.store(next);
     t.stats.epoch = next->epoch();
     t.stats.graph_version = next->info().graph_version;
     t.stats.events_applied += applied;
@@ -321,7 +346,7 @@ void SpannerService::drain() {
 }
 
 std::shared_ptr<const SpannerSnapshot> SpannerService::snapshot(TenantId id) const {
-  return find(id)->snap.load(std::memory_order_acquire);
+  return find(id)->snap.load();
 }
 
 TenantStats SpannerService::tenant_stats(TenantId id) const {

@@ -10,11 +10,13 @@
 //                (admission control,        (one drainer per tenant,
 //                 annihilation)              worker pool or caller thread)
 //                                                    │ publish
-//   readers ◀──snapshot()── atomic<shared_ptr<const SpannerSnapshot>>
+//   readers ◀──snapshot()── shared_ptr<const SpannerSnapshot> (own lock)
 //
 // Concurrency contract:
-//   * Readers never block on writers: snapshot() is a map lookup plus an
-//     atomic shared_ptr load; every query then runs against the immutable
+//   * Readers never block on writers: snapshot() is a map lookup plus a
+//     shared_ptr copy under the tenant's publish lock, which is held only
+//     for that copy or the drainer's pointer swap (never while a batch
+//     applies); every query then runs against the immutable
 //     snapshot object, which stays valid for as long as the reader holds
 //     it — across later epochs and even tenant eviction.
 //   * Exactly one drainer works a tenant at a time (worker threads and

@@ -22,12 +22,20 @@
 //   3. every has_edge/find_edge query is between two ball nodes, and the
 //      induced subgraph keeps all edges between members, with local edge
 //      ids mapping back to global EdgeIds through the gather map.
+//
+// Both read the graph through any EdgeNeighborView (graph/views.hpp): a
+// CSR Graph for the static builds, DynamicGraph's LiveView (slots as edge
+// ids) for the incremental rebuilds. The gather needs each row in
+// ascending neighbor order, which both views provide.
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/views.hpp"
 #include "util/prelude.hpp"
 
 namespace remspan {
@@ -41,7 +49,33 @@ class BallScout {
 
   /// Expands the union ball of `sources` to depth `max_depth`; afterwards
   /// touched() holds every member in discovery order.
-  void run(const Graph& g, std::span<const NodeId> sources, Dist max_depth);
+  template <NeighborView View>
+  void run(const View& view, std::span<const NodeId> sources, Dist max_depth) {
+    for (const NodeId v : order_) dist_[v] = kUnreachable;
+    order_.clear();
+    for (const NodeId src : sources) {
+      REMSPAN_CHECK(src < view.num_nodes());
+      if (dist_[src] != kUnreachable) continue;  // duplicate source
+      dist_[src] = 0;
+      order_.push_back(src);
+    }
+    // order_ doubles as the queue, appended in non-decreasing distance.
+    for (std::size_t head = 0; head < order_.size(); ++head) {
+      const NodeId u = order_[head];
+      const Dist du = dist_[u];
+      if (du >= max_depth) continue;
+      view.for_each_neighbor(u, [&](NodeId v) {
+        if (dist_[v] == kUnreachable) {
+          dist_[v] = du + 1;
+          order_.push_back(v);
+        }
+      });
+    }
+  }
+
+  void run(const Graph& g, std::span<const NodeId> sources, Dist max_depth) {
+    run(GraphView(g), sources, max_depth);
+  }
 
   [[nodiscard]] bool in_ball(NodeId v) const noexcept { return dist_[v] != kUnreachable; }
 
@@ -63,7 +97,45 @@ class BallGather {
   explicit BallGather(std::size_t n) : local_of_(n, kInvalidNode) {}
 
   /// Gathers the induced subgraph of `members` (any order, no duplicates).
-  void gather(const Graph& g, std::span<const NodeId> members);
+  /// Local edge ids translate back to the view's edge ids.
+  template <EdgeNeighborView View>
+  void gather(const View& view, std::span<const NodeId> members) {
+    for (const NodeId v : members_) local_of_[v] = kInvalidNode;
+    members_.assign(members.begin(), members.end());
+    std::sort(members_.begin(), members_.end());
+    for (NodeId local = 0; local < members_.size(); ++local) {
+      local_of_[members_[local]] = local;
+    }
+
+    // Induced edges in canonical order: outer loop ascends local u, and the
+    // view's rows ascend, so the (lu, lv) pairs come out lex-sorted and
+    // deduplicated — exactly what from_canonical_edges needs. The local
+    // edge id is the emission index, so pushing the view's id at emission
+    // time builds the edge translation for free.
+    std::vector<Edge> edges;
+    // The vector is moved into the local Graph, so its capacity never
+    // carries over between gathers; last batch's edge count is a tight
+    // estimate that skips the realloc ladder.
+    edges.reserve(std::max<std::size_t>(64, global_edges_.size()));
+    global_edges_.clear();
+    for (NodeId lu = 0; lu < members_.size(); ++lu) {
+      const NodeId gu = members_[lu];
+      view.for_each_neighbor_edge(gu, [&](NodeId gv, EdgeId id) {
+        if (gv <= gu) return;  // canonical direction only
+        const NodeId lv = local_of_[gv];
+        if (lv == kInvalidNode) return;
+        edges.push_back(Edge{lu, lv});
+        global_edges_.push_back(id);
+      });
+    }
+    local_ = Graph::from_canonical_edges(static_cast<NodeId>(members_.size()), std::move(edges));
+  }
+
+  void gather(const Graph& g, std::span<const NodeId> members) { gather(GraphView(g), members); }
+
+  /// Frees the last gather's local graph; the O(n) id map stays allocated
+  /// for the next gather.
+  void release_local() { local_ = Graph{}; }
 
   /// The compact induced subgraph of the last gather.
   [[nodiscard]] const Graph& local() const noexcept { return local_; }
@@ -76,7 +148,8 @@ class BallGather {
 
   [[nodiscard]] NodeId global_id(NodeId local) const { return members_[local]; }
 
-  /// Global EdgeId of a local edge id of local().
+  /// The view's edge id (a Graph EdgeId, or a slot) of a local edge id of
+  /// local().
   [[nodiscard]] EdgeId global_edge(EdgeId local) const { return global_edges_[local]; }
 
  private:

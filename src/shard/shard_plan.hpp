@@ -10,9 +10,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/views.hpp"
 #include "util/prelude.hpp"
 
 namespace remspan {
@@ -43,14 +46,50 @@ namespace detail {
 void check_shard_limits(std::size_t nodes, std::size_t edges, std::size_t shards);
 }  // namespace detail
 
-/// A deterministic locality order over all nodes: a sequence of bounded
-/// BFS clusters. Each cluster seeds at the smallest unvisited id and grows
-/// breadth-first to at most `cluster_size` nodes (0 = unbounded, i.e.
-/// plain per-component BFS), so every cluster is a compact blob rather
-/// than a stretch of a whole-graph BFS frontier ring. Batching one
-/// cluster's roots therefore yields heavily overlapping balls — this is
-/// what makes the engine's gathers a ball-reuse win instead of a plain
-/// parallel split. Pure function of (graph, cluster_size).
+/// A deterministic locality order over a root set: a sequence of bounded
+/// BFS clusters. Each cluster seeds at the smallest unvisited root and
+/// grows breadth-first through roots only, to at most `cluster_size` roots
+/// (0 = unbounded, i.e. plain per-component BFS), so every cluster is a
+/// compact blob rather than a stretch of a whole-graph BFS frontier ring.
+/// Batching one cluster's roots therefore yields heavily overlapping balls
+/// — this is what makes the engine's gathers a ball-reuse win instead of a
+/// plain parallel split. Pure function of (view, roots, cluster_size).
+///
+/// `roots` must ascend. `mark` is per-node scratch that must be all zero
+/// (sized to the view) and is left all zero; `order` receives the roots.
+template <NeighborView View>
+void locality_order(const View& view, std::span<const NodeId> roots, std::size_t cluster_size,
+                    std::vector<std::uint8_t>& mark, std::vector<NodeId>& order) {
+  constexpr std::uint8_t kPending = 1;
+  constexpr std::uint8_t kPlaced = 2;
+  const std::size_t cap = cluster_size == 0 ? roots.size() + 1 : cluster_size;
+  order.clear();
+  order.reserve(roots.size());
+  for (const NodeId r : roots) mark[r] = kPending;
+  for (const NodeId seed : roots) {
+    if (mark[seed] != kPending) continue;
+    // One cluster: BFS from the seed, stopping at `cap` roots. order
+    // doubles as the BFS queue — a cluster is the contiguous segment it
+    // appended. Capping the queue (rather than draining a full frontier)
+    // keeps every cluster a compact blob: a frontier ring of a whole-graph
+    // BFS spreads consecutive entries around its whole circumference,
+    // which is exactly what batched ball-gathering must avoid.
+    const std::size_t cluster_end = order.size() + cap;
+    std::size_t head = order.size();
+    mark[seed] = kPlaced;
+    order.push_back(seed);
+    for (; head < order.size() && order.size() < cluster_end; ++head) {
+      view.for_each_neighbor(order[head], [&](NodeId v) {
+        if (mark[v] != kPending || order.size() >= cluster_end) return;
+        mark[v] = kPlaced;
+        order.push_back(v);
+      });
+    }
+  }
+  for (const NodeId r : roots) mark[r] = 0;
+}
+
+/// locality_order over every node of g.
 [[nodiscard]] std::vector<NodeId> locality_root_order(const Graph& g,
                                                       std::size_t cluster_size = 0);
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental_spanner.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
@@ -96,6 +97,54 @@ inline std::vector<IncrementalConfig> incremental_sweep_configs() {
       IncrementalConfig::r_beta_tree(2, 0, TreeAlgorithm::kGreedy),
       IncrementalConfig::low_stretch(0.5, TreeAlgorithm::kMis),
   };
+}
+
+/// A seeded batch (0-11 draws) mixing every kind of event a batch delta
+/// must net out: edge up/down, duplicates, no-ops, an absent edge up then
+/// down, a stored edge down then up, and node down/up with incident edges.
+/// Slots freed by one batch are reused by the next as a matter of course.
+inline std::vector<GraphEvent> mixed_churn_batch(const DynamicGraph& dg, Rng& rng) {
+  const NodeId n = dg.num_nodes();
+  const auto pair = [&] {
+    const auto a = static_cast<NodeId>(rng.uniform(n));
+    auto b = static_cast<NodeId>(rng.uniform(n));
+    if (a == b) b = (b + 1) % n;
+    return make_edge(a, b);
+  };
+  const auto stored = [&] {
+    // A stored edge when one is found quickly, else any pair.
+    for (int tries = 0; tries < 20; ++tries) {
+      const Edge e = pair();
+      if (dg.has_edge(e.u, e.v)) return e;
+    }
+    return pair();
+  };
+  std::vector<GraphEvent> batch;
+  const auto size = static_cast<int>(rng.uniform(12));
+  for (int i = 0; i < size; ++i) {
+    const double roll = rng.uniform_real();
+    if (roll < 0.25) {
+      const Edge e = pair();
+      batch.push_back(GraphEvent::edge_up(e.u, e.v));
+    } else if (roll < 0.5) {
+      const Edge e = stored();
+      batch.push_back(GraphEvent::edge_down(e.u, e.v));
+    } else if (roll < 0.6 && !batch.empty()) {
+      batch.push_back(batch[rng.uniform(batch.size())]);  // duplicate
+    } else if (roll < 0.7) {
+      const Edge e = pair();  // up then down: net nothing if it was absent
+      batch.push_back(GraphEvent::edge_up(e.u, e.v));
+      batch.push_back(GraphEvent::edge_down(e.u, e.v));
+    } else if (roll < 0.8) {
+      const Edge e = stored();  // down then up: the same cell, the same slot
+      batch.push_back(GraphEvent::edge_down(e.u, e.v));
+      batch.push_back(GraphEvent::edge_up(e.u, e.v));
+    } else {
+      const auto v = static_cast<NodeId>(rng.uniform(n));
+      batch.push_back(rng.bernoulli(0.5) ? GraphEvent::node_down(v) : GraphEvent::node_up(v));
+    }
+  }
+  return batch;
 }
 
 }  // namespace remspan::testsupport

@@ -1,7 +1,9 @@
-// DynamicGraph update semantics, snapshot determinism, diff_graphs id
-// mapping, multi-source bounded BFS, and churn-trace generation/round-trip.
+// DynamicGraph update semantics, snapshot determinism, stable slots and the
+// batch delta, diff_graphs, multi-source bounded BFS, and churn-trace
+// generation/round-trip.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include "geom/synthetic.hpp"
 #include "graph/bfs.hpp"
 #include "graph/views.hpp"
+#include "support/corpus.hpp"
 #include "util/rng.hpp"
 
 namespace remspan {
@@ -169,27 +172,6 @@ TEST(DiffGraphs, MapsSurvivorsAndListsChanges) {
     EXPECT_TRUE(std::is_sorted(delta.removed.begin(), delta.removed.end(), edge_less));
     EXPECT_TRUE(std::is_sorted(delta.inserted.begin(), delta.inserted.end(), edge_less));
 
-    // The id map sends every survivor to the same endpoints; removed edges
-    // map to kInvalidEdge and carry their old id in removed_old_ids.
-    ASSERT_EQ(delta.old_to_new.size(), old_g.num_edges());
-    for (EdgeId id = 0; id < old_g.num_edges(); ++id) {
-      const Edge& e = old_g.edge(id);
-      if (new_set.contains(e)) {
-        ASSERT_NE(delta.old_to_new[id], kInvalidEdge);
-        EXPECT_EQ(new_g->edge(delta.old_to_new[id]), e);
-      } else {
-        EXPECT_EQ(delta.old_to_new[id], kInvalidEdge);
-      }
-    }
-    ASSERT_EQ(delta.removed_old_ids.size(), delta.removed.size());
-    for (std::size_t i = 0; i < delta.removed.size(); ++i) {
-      EXPECT_EQ(old_g.edge(delta.removed_old_ids[i]), delta.removed[i]);
-    }
-    ASSERT_EQ(delta.inserted_new_ids.size(), delta.inserted.size());
-    for (std::size_t i = 0; i < delta.inserted.size(); ++i) {
-      EXPECT_EQ(new_g->edge(delta.inserted_new_ids[i]), delta.inserted[i]);
-    }
-
     // touched_endpoints: sorted unique endpoints of the symmetric difference.
     std::set<NodeId> expected_touched;
     for (const Edge& e : removed) {
@@ -203,6 +185,136 @@ TEST(DiffGraphs, MapsSurvivorsAndListsChanges) {
     const auto touched = touched_endpoints(delta);
     EXPECT_EQ(std::set<NodeId>(touched.begin(), touched.end()), expected_touched);
     EXPECT_TRUE(std::is_sorted(touched.begin(), touched.end()));
+  }
+}
+
+/// Every stored edge's slot, read from the rows (u < w side); fails the
+/// test on a slot used by two edges.
+std::map<EdgeId, Edge> stored_slots(const DynamicGraph& dg) {
+  std::map<EdgeId, Edge> slots;
+  for (NodeId u = 0; u < dg.num_nodes(); ++u) {
+    for (const AdjEntry& e : dg.row(u)) {
+      if (e.node < u) continue;
+      EXPECT_LT(e.slot, dg.slot_capacity());
+      EXPECT_TRUE(slots.emplace(e.slot, Edge{u, e.node}).second)
+          << "slot " << e.slot << " used twice";
+    }
+  }
+  return slots;
+}
+
+TEST(DynamicGraph, BatchDeltaEqualsDiffOfSnapshots) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    DynamicGraph dg(gnp(24, 0.15, rng));
+    std::shared_ptr<const Graph> before = dg.snapshot();
+    std::map<EdgeId, Edge> slots_before = stored_slots(dg);
+    BatchDelta delta;
+    for (int batch_no = 0; batch_no < 60; ++batch_no) {
+      const auto batch = testsupport::mixed_churn_batch(dg, rng);
+      dg.apply_all(batch, delta);
+      const std::shared_ptr<const Graph> after = dg.snapshot();
+      const GraphDelta diff = diff_graphs(*before, *after);
+
+      // The reported delta is the diff of the two snapshots, in order.
+      std::vector<Edge> removed;
+      std::vector<Edge> inserted;
+      for (const SlotEdge& e : delta.removed) removed.push_back(e.edge);
+      for (const SlotEdge& e : delta.inserted) inserted.push_back(e.edge);
+      ASSERT_EQ(removed, diff.removed) << "seed " << seed << " batch " << batch_no;
+      ASSERT_EQ(inserted, diff.inserted) << "seed " << seed << " batch " << batch_no;
+
+      // Removed edges carry their slot from before, inserted ones their
+      // slot now; every stored slot resolves to its edge and is unique.
+      const std::map<EdgeId, Edge> slots = stored_slots(dg);
+      for (const SlotEdge& e : delta.removed) {
+        ASSERT_TRUE(slots_before.contains(e.slot));
+        EXPECT_EQ(slots_before.at(e.slot), e.edge);
+        EXPECT_EQ(dg.slot_edge(e.slot), e.edge);  // still resolvable after the batch
+      }
+      for (const SlotEdge& e : delta.inserted) EXPECT_EQ(dg.slot_of(e.edge.u, e.edge.v), e.slot);
+      for (const auto& [slot, e] : slots) {
+        EXPECT_TRUE(dg.has_edge(e.u, e.v));
+        EXPECT_EQ(dg.slot_edge(slot), e);
+        EXPECT_EQ(dg.slot_of(e.u, e.v), slot);
+      }
+      // The merge-patched snapshot's id -> slot table agrees with the rows.
+      const std::span<const EdgeId> by_id = dg.snapshot_slots();
+      ASSERT_EQ(by_id.size(), after->num_edges());
+      for (EdgeId id = 0; id < by_id.size(); ++id) {
+        EXPECT_EQ(by_id[id], dg.slot_of(after->edge(id).u, after->edge(id).v));
+      }
+      // An edge stored before and after keeps its slot, whatever the batch
+      // did to it in between.
+      for (const auto& [slot, e] : slots_before) {
+        if (dg.has_edge(e.u, e.v)) EXPECT_EQ(dg.slot_of(e.u, e.v), slot);
+      }
+      before = after;
+      slots_before = slots;
+    }
+  }
+}
+
+TEST(DynamicGraph, FreedSlotIsReusedOnlyByTheNextBatch) {
+  Rng rng(3);
+  DynamicGraph dg(gnp(16, 0.3, rng));
+  // An adopted graph's edge ids are its slots.
+  const std::span<const EdgeId> adopted = dg.snapshot_slots();
+  for (EdgeId id = 0; id < adopted.size(); ++id) ASSERT_EQ(adopted[id], id);
+  const Edge gone = dg.snapshot()->edge(0);
+  const EdgeId freed = dg.slot_of(gone.u, gone.v);
+  NodeId x = 0;
+  NodeId y = 1;
+  while (dg.has_edge(x, y)) ++y;
+  NodeId z = y + 1;
+  while (dg.has_edge(x, z)) ++z;
+
+  // Batch t frees a slot and stores a new edge: the new edge must not get
+  // the slot the same batch freed.
+  BatchDelta delta;
+  const std::vector<GraphEvent> t = {GraphEvent::edge_down(gone.u, gone.v),
+                                     GraphEvent::edge_up(x, y)};
+  dg.apply_all(t, delta);
+  ASSERT_EQ(delta.removed.size(), 1u);
+  EXPECT_EQ(delta.removed[0].slot, freed);
+  ASSERT_EQ(delta.inserted.size(), 1u);
+  EXPECT_NE(delta.inserted[0].slot, freed);
+  EXPECT_EQ(dg.slot_edge(freed), gone);
+
+  // Batch t+1 may hand it out again.
+  const std::vector<GraphEvent> next = {GraphEvent::edge_up(x, z)};
+  dg.apply_all(next, delta);
+  ASSERT_EQ(delta.inserted.size(), 1u);
+  EXPECT_EQ(delta.inserted[0].slot, freed);
+  EXPECT_EQ(dg.slot_edge(freed), make_edge(x, z));
+}
+
+TEST(DynamicGraph, MaskedEdgesKeepTheirSlotsAcrossNodeChurn) {
+  Rng rng(5);
+  DynamicGraph dg(gnp(12, 0.4, rng));
+  const NodeId v = 0;
+  std::vector<std::pair<Edge, EdgeId>> incident;
+  for (const AdjEntry& e : dg.row(v)) incident.emplace_back(make_edge(v, e.node), e.slot);
+  ASSERT_FALSE(incident.empty());
+
+  BatchDelta delta;
+  const std::vector<GraphEvent> down = {GraphEvent::node_down(v)};
+  dg.apply_all(down, delta);
+  EXPECT_TRUE(delta.inserted.empty());
+  ASSERT_EQ(delta.removed.size(), incident.size());
+  for (std::size_t i = 0; i < incident.size(); ++i) {
+    EXPECT_EQ(delta.removed[i].edge, incident[i].first);
+    EXPECT_EQ(delta.removed[i].slot, incident[i].second);
+  }
+  // Down then up in one batch nets out; up alone restores every slot.
+  const std::vector<GraphEvent> flap = {GraphEvent::node_up(v), GraphEvent::node_down(v)};
+  EXPECT_EQ(dg.apply_all(flap, delta), 2u);
+  EXPECT_TRUE(delta.empty());
+  const std::vector<GraphEvent> up = {GraphEvent::node_up(v)};
+  dg.apply_all(up, delta);
+  ASSERT_EQ(delta.inserted.size(), incident.size());
+  for (std::size_t i = 0; i < incident.size(); ++i) {
+    EXPECT_EQ(delta.inserted[i].slot, incident[i].second);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
+#include "obs/obs.hpp"
 #include "support/corpus.hpp"
 #include "util/rng.hpp"
 
@@ -380,6 +381,121 @@ TEST(IncrementalSpanner, RefcountZeroRemovalSkipWouldBeUnsound) {
   EXPECT_TRUE(counterexample_found)
       << "no refcount-0 removal changed any tree across the sampled graphs — if the "
          "builders changed to make the skip sound, IncrementalSpanner can adopt it";
+}
+
+TEST(IncrementalSpanner, NodeChurnAndSlotReuseStayExact) {
+  // Mixed streams — node down/up with incident edges, duplicates, no-ops,
+  // edges flapped inside one batch, slots freed and reused by the next
+  // batch — through all three constructions. After every batch the engine
+  // must equal a from-scratch build, its dirty set and per-side expansion
+  // sizes must equal the snapshot-based expansion on explicit before/after
+  // snapshots, and every refcount must equal the number of stored trees
+  // that contain the edge.
+  //
+  // The expansion sizes are what pin the pre-batch view as exact: walking
+  // a superset (live rows plus removed edges, inserted ones kept) reaches
+  // no extra dirty root — past the last changed edge on any path the rest
+  // is common to both graphs, so its endpoint's own ball already covers
+  // it — but it does inflate inc.expand_old_nodes.
+  const IncrementalConfig configs[] = {
+      IncrementalConfig::r_beta_tree(3, 1, TreeAlgorithm::kGreedy),
+      IncrementalConfig::low_stretch(0.5, TreeAlgorithm::kMis),
+      IncrementalConfig::k_connecting(2),
+      IncrementalConfig::two_connecting(2),
+  };
+  for (const IncrementalConfig& cfg : configs) {
+    for (int family = 0; family < 3; ++family) {
+      Rng rng(500 + family);
+      DynamicGraph dg(make_family(family, 12));
+      IncrementalSpanner inc(dg, cfg);
+      BoundedBfs bfs(dg.num_nodes());
+      std::vector<std::uint8_t> flag;
+      for (int step = 0; step < 12; ++step) {
+        const std::shared_ptr<const Graph> before = dg.snapshot();
+        const auto batch = testsupport::mixed_churn_batch(dg, rng);
+        obs::Registry reg;
+        ChurnBatchStats stats;
+        {
+          const obs::ScopedSinks sinks(&reg, nullptr);
+          stats = inc.apply_batch(batch);
+        }
+        const obs::Snapshot counts = reg.snapshot();
+        const auto count = [&](const char* name) -> std::size_t {
+          const auto it = counts.counters.find(name);
+          return it == counts.counters.end() ? 0 : it->second;
+        };
+        const Graph& g = inc.graph();
+        ASSERT_EQ(inc.spanner(), cfg.build_full(g))
+            << cfg.name() << " family " << family << " step " << step;
+        EXPECT_EQ(stats.spanner_edges, inc.spanner().size());
+
+        const GraphDelta diff = diff_graphs(*before, g);
+        EXPECT_EQ(stats.removed_edges, diff.removed.size());
+        EXPECT_EQ(stats.inserted_edges, diff.inserted.size());
+        EXPECT_EQ(stats.touched_nodes, touched_endpoints(diff).size());
+        const std::vector<NodeId> expected_dirty =
+            diff.empty() ? std::vector<NodeId>{}
+                         : collect_dirty_roots_split(*before, g, removed_endpoints(diff),
+                                                     inserted_endpoints(diff),
+                                                     cfg.dirty_radius(), bfs, flag);
+        EXPECT_EQ(inc.last_dirty_roots(), expected_dirty)
+            << cfg.name() << " family " << family << " step " << step;
+        const auto ball_size = [&](const Graph& graph, const std::vector<NodeId>& seeds) {
+          return seeds.empty()
+                     ? 0
+                     : bfs.run_multi(GraphView(graph), seeds, cfg.dirty_radius()).size();
+        };
+        if (!diff.empty()) {
+          EXPECT_EQ(count("inc.expand_old_nodes"), ball_size(*before, removed_endpoints(diff)))
+              << cfg.name() << " family " << family << " step " << step;
+          EXPECT_EQ(count("inc.expand_new_nodes"), ball_size(g, inserted_endpoints(diff)))
+              << cfg.name() << " family " << family << " step " << step;
+        }
+
+        std::vector<std::uint32_t> owners(g.num_edges(), 0);
+        for (NodeId root = 0; root < g.num_nodes(); ++root) {
+          for (const Edge& e : inc.tree_edges(root)) {
+            const EdgeId id = g.find_edge(e.u, e.v);
+            ASSERT_NE(id, kInvalidEdge) << "stored tree edge not in the graph";
+            ++owners[id];
+          }
+        }
+        for (EdgeId id = 0; id < g.num_edges(); ++id) {
+          ASSERT_EQ(inc.edge_refcount(id), owners[id]) << cfg.name() << " edge " << id;
+        }
+      }
+    }
+  }
+}
+
+TEST(IncrementalSpanner, StaleEngineResyncsWithAFullBuild) {
+  // A change made through the session's DynamicGraph never reaches the
+  // engine as a delta. The engine notices the version gap, refuses stale
+  // reads, and resyncs on its next batch.
+  const Graph g = make_family(1, 4);
+  const api::SpannerSpec spec = api::parse_spanner_spec("th2?k=2");
+  const auto session = api::open_incremental_session(g, spec);
+  const Edge e = g.edge(g.num_edges() / 2);
+  session->dynamic_graph().apply(GraphEvent::edge_down(e.u, e.v));
+  session->dynamic_graph().apply(GraphEvent::node_down(e.u));
+  EXPECT_THROW((void)session->spanner(), CheckError);
+
+  Rng rng(8);
+  const auto next = testsupport::mixed_churn_batch(session->dynamic_graph(), rng);
+  const ChurnBatchStats stats = session->apply_batch(next);
+  EXPECT_EQ(stats.dirty_roots, g.num_nodes());
+  EXPECT_FALSE(session->graph().has_edge(e.u, e.v));
+  EXPECT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
+  EXPECT_EQ(stats.spanner_edges, session->spanner().size());
+
+  (void)session->apply_batch({});
+  EXPECT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
+  // And incremental maintenance carries on from the resynced state.
+  for (int step = 0; step < 4; ++step) {
+    const auto batch = testsupport::mixed_churn_batch(session->dynamic_graph(), rng);
+    (void)session->apply_batch(batch);
+    ASSERT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
+  }
 }
 
 TEST(IncrementalSpanner, LargeSingleBatchEqualsRebuild) {
