@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "api/registry.hpp"
 #include "api/spec.hpp"
@@ -214,6 +215,68 @@ TEST(ApiSpec, GuaranteesLabelsAndVerifiersMatchTheConstructions) {
   api::VerifyOptions opts;
   opts.sample_pairs = 100;
   EXPECT_TRUE(th2.verify(g, th2.edges, opts).satisfied);
+}
+
+TEST(ApiSpec, FacadeAnswersArePinnedForEveryKind) {
+  // Every facade answer per kind, at non-default parameters, so a change to
+  // how specs map onto constructions cannot move any of them silently.
+  struct IncrementalRow {
+    const char* name;
+    Dist dirty_radius;
+    Dist ball_depth;
+  };
+  struct ProtocolRow {
+    Dist flood_scope;
+    std::uint32_t expected_rounds;
+    const char* kind_name;
+  };
+  struct Row {
+    const char* spec;
+    bool has_verifier;
+    double alpha;
+    double beta;
+    const char* label;
+    std::optional<IncrementalRow> incremental;
+    std::optional<ProtocolRow> protocol;
+  };
+  const Row rows[] = {
+      {"th1?eps=0.25&tree=greedy", true, 1.25, 0.5, "remote (1.25,0.50)",
+       IncrementalRow{"r-beta (greedy)", 5, 5}, ProtocolRow{5, 11, "low-stretch (greedy)"}},
+      {"th1?eps=0.4", true, 1.4, 1.0 - 2.0 * 0.4, "remote (1.40,0.20)",
+       IncrementalRow{"r-beta (mis)", 4, 4}, ProtocolRow{4, 9, "low-stretch (mis)"}},
+      {"th2?k=3", true, 1.0, 0.0, "3-connecting remote (1,0)",
+       IncrementalRow{"k-connecting (1,0)", 1, 2}, ProtocolRow{1, 3, "k-connecting (greedy)"}},
+      {"th3?k=1", true, 2.0, -1.0, "2-connecting remote (2,-1)",
+       IncrementalRow{"k-connecting (2,1)", 2, 2}, ProtocolRow{2, 5, "k-connecting (mis)"}},
+      {"mpr", true, 1.0, 0.0, "remote (1,0) via OLSR MPR", std::nullopt,
+       ProtocolRow{1, 3, "olsr-mpr"}},
+      {"greedy?t=2.5", true, 2.5, 0.0, "classical (2.5,0)", std::nullopt, std::nullopt},
+      {"baswana?k=3&seed=7", true, 5.0, 0.0, "classical (5,0)", std::nullopt, std::nullopt},
+      {"full", false, 1.0, 0.0, "all edges", std::nullopt, std::nullopt},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.spec);
+    const api::SpannerSpec spec = api::parse_spanner_spec(row.spec);
+    EXPECT_EQ(api::supports_incremental(spec), row.incremental.has_value());
+    EXPECT_EQ(api::supports_protocol(spec), row.protocol.has_value());
+    EXPECT_EQ(api::make_verifier(spec) != nullptr, row.has_verifier);
+    const Stretch s = api::guarantee(spec);
+    EXPECT_DOUBLE_EQ(s.alpha, row.alpha);
+    EXPECT_DOUBLE_EQ(s.beta, row.beta);
+    EXPECT_EQ(api::guarantee_label(spec), row.label);
+    if (row.incremental) {
+      const IncrementalConfig inc = api::incremental_config(spec);
+      EXPECT_STREQ(inc.name(), row.incremental->name);
+      EXPECT_EQ(inc.dirty_radius(), row.incremental->dirty_radius);
+      EXPECT_EQ(inc.ball_depth(), row.incremental->ball_depth);
+    }
+    if (row.protocol) {
+      const RemSpanConfig proto = api::protocol_config(spec);
+      EXPECT_EQ(proto.flood_scope(), row.protocol->flood_scope);
+      EXPECT_EQ(proto.expected_rounds(), row.protocol->expected_rounds);
+      EXPECT_STREQ(proto.kind_name(), row.protocol->kind_name);
+    }
+  }
 }
 
 TEST(ApiSpec, CapabilityMapsMatchTheDynamicAndProtocolConfigs) {
