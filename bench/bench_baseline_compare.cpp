@@ -23,7 +23,7 @@ void compare_on(const std::string& label, const Graph& g, std::uint64_t seed,
   std::cout << "\ninput: " << label << " (n=" << g.num_nodes() << " m=" << g.num_edges()
             << ")\n";
   // One shared RNG across the seeded constructions (the two Baswana-Sen
-  // rows draw from it in sequence), threaded through the registry builds.
+  // rows draw from it in sequence), threaded through the facade builds.
   Rng rng(seed);
   api::BuildContext ctx;
   ctx.rng = &rng;

@@ -1,8 +1,8 @@
 // Dynamic workload — incremental maintenance under churn: on a random
 // geometric network, the per-root locality of the remote-spanner
 // construction means a batch of link/mobility events only dirties the
-// roots within the dependency radius max(1, r+beta-1) of the touched
-// endpoints (IncrementalConfig::dirty_radius). Measured: per
+// roots within the dependency radius r+beta-1 of the touched
+// endpoints (TreeRecipe::dirty_radius). Measured: per
 // churn scenario, the amortized incremental update cost per batch (alone,
 // and followed by a spanner() read, which pays for the lazy CSR snapshot)
 // against a from-scratch rebuild on the same snapshot, the dirty-root footprint,
@@ -43,12 +43,12 @@ struct ScenarioResult {
 };
 
 ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
-                            const IncrementalConfig& cfg, std::size_t rebuild_every,
+                            const TreeRecipe& recipe, std::size_t rebuild_every,
                             std::uint64_t seed) {
   ScenarioResult result;
   result.name = name;
   DynamicGraph dg(trace.initial_graph());
-  IncrementalSpanner inc(dg, cfg);
+  IncrementalSpanner inc(dg, recipe);
 
   double sum_dirty = 0.0;
   double sum_spanner = 0.0;
@@ -67,7 +67,7 @@ ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
     sum_spanner += static_cast<double>(stats.spanner_edges);
     if ((b + 1) % rebuild_every == 0 || b + 1 == trace.batches.size()) {
       obs::PhaseSpan timer("bench.rebuild_check", "bench");
-      const EdgeSet scratch = cfg.build_full(inc.graph());
+      const EdgeSet scratch = recipe.build_spanner(inc.graph());
       rebuild_total += timer.seconds();
       ++rebuilds;
       result.equivalent = result.equivalent && scratch == inc.spanner();
@@ -80,7 +80,7 @@ ScenarioResult run_scenario(const std::string& name, const ChurnTrace& trace,
   result.rebuild_seconds = rebuild_total / static_cast<double>(rebuilds);
   // Quality over time: the maintained spanner must still satisfy the
   // k-connecting stretch guarantee on the final (churned) snapshot.
-  const auto report = check_k_connecting_stretch(inc.graph(), inc.spanner(), cfg.k,
+  const auto report = check_k_connecting_stretch(inc.graph(), inc.spanner(), recipe.k(),
                                                  Stretch{1.0, 0.0}, 150, seed);
   result.stretch_ok = report.satisfied;
   return result;
@@ -126,7 +126,7 @@ int bench_main(int argc, char** argv) {
   report.value("nodes", g.num_nodes());
   report.value("initial_edges", m);
 
-  const IncrementalConfig cfg = api::incremental_config(api::SpannerSpec::th2(k));
+  const TreeRecipe recipe = api::incremental_config(api::SpannerSpec::th2(k));
   const auto movers = static_cast<std::size_t>(
       std::max(1.0, std::round(target_edges / (2.0 * g.average_degree()))));
   // Both endpoints must fall inside the outage disk, which shaves roughly
@@ -137,13 +137,13 @@ int bench_main(int argc, char** argv) {
   const auto random_events = static_cast<std::size_t>(std::max(1.0, std::round(target_edges)));
 
   const ScenarioResult results[] = {
-      run_scenario("mobility", mobility_churn_trace(gg, batches, movers, 100 * seed + 1), cfg,
+      run_scenario("mobility", mobility_churn_trace(gg, batches, movers, 100 * seed + 1), recipe,
                    rebuild_every, seed),
       run_scenario("outage", region_outage_trace(gg, batches / 2, region_radius, 100 * seed + 2),
-                   cfg, rebuild_every, seed),
+                   recipe, rebuild_every, seed),
       run_scenario("random", random_edge_churn_trace(g, batches, random_events, 0.0,
                                                      100 * seed + 3),
-                   cfg, rebuild_every, seed),
+                   recipe, rebuild_every, seed),
   };
 
   Table table({"scenario", "batches", "churn/batch", "dirty roots", "dirty %", "amortized ms",
@@ -177,8 +177,8 @@ int bench_main(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\nlocality argument: a changed edge {a,b} only affects roots within the\n"
-               "dependency radius max(1, r+beta-1) = "
-            << cfg.dirty_radius()
+               "dependency radius r+beta-1 = "
+            << recipe.dirty_radius()
             << " hops of a or b (old snapshot for\n"
                "removals, new for insertions); mobility/outage churn is spatially\n"
                "concentrated, so the dirty set stays small — uniform random churn is\n"

@@ -38,7 +38,7 @@ int bench_main(int argc, char** argv) {
   Table table({"n", "construction", "scope", "rounds", "paper", "tx/node", "words/node"});
   for (std::uint64_t n = 200; n <= n_max; n *= 2) {
     const Graph g = paper_udg(side, static_cast<double>(n), 70 + n);
-    // Protocol configs come from the registry by spec (eps=.5 -> r=3,
+    // Protocol configs come from the facade by spec (eps=.5 -> r=3,
     // eps=.25 -> r=5).
     struct Case {
       const char* name;

@@ -44,8 +44,8 @@ int bench_main(int argc, char** argv) {
     if (s != t) pairs.emplace_back(s, t);
   }
 
-  // Every construction goes through the registry by spec; the stretch bound
-  // each route is checked against is the registry's guarantee.
+  // Every construction goes through the facade by spec; the stretch bound
+  // each route is checked against is the facade's guarantee.
   struct Case {
     std::string name;
     EdgeSet h;

@@ -1,13 +1,13 @@
 // remspan_tool: command-line driver over the whole library, built entirely
 // on the remspan::api facade (src/api): the graph source and the
-// construction are both specs resolved through the construction registry —
-// the tool itself knows no construction by name.
+// construction are both specs the facade resolves — the tool itself knows
+// no construction by name.
 //
 //   ./example_remspan_tool --input graph.txt --construction th1 --eps 0.5
 //   ./example_remspan_tool --gen udg --n 500 --side 6 --construction th2 --k 2
 //   ./example_remspan_tool --gen gnp --n 300 --deg 12 --construction mpr --dot out.dot
 //
-// --construction accepts a registered name (th1, th2, th3, mpr, greedy,
+// --construction accepts a construction name (th1, th2, th3, mpr, greedy,
 // baswana, full) or a full spec string like "th2?k=2" (docs/API.md has the
 // grammar); the dedicated flags --eps/--k/--t override the spec's
 // parameters when passed. Verification runs the construction's registered
@@ -222,12 +222,13 @@ int run_churn_replay(const std::string& path, const api::SpannerSpec& spec,
   obs::PhaseSpan timer("tool.churn_replay", "tool");
   const auto session = api::open_incremental_session(trace.initial_graph(), spec);
   IncrementalSpanner& inc = session->engine();
-  const IncrementalConfig& cfg = inc.config();
+  const TreeRecipe& recipe = inc.recipe();
   const double init_s = timer.seconds();
   std::cout << "churn replay: " << path << "\n"
             << "initial graph: n=" << inc.graph().num_nodes() << " m="
-            << inc.graph().num_edges() << ", " << cfg.name() << " spanner built in "
-            << format_double(init_s, 3) << " s (dirty radius " << cfg.dirty_radius() << ")\n\n";
+            << inc.graph().num_edges() << ", " << recipe.name() << " spanner built in "
+            << format_double(init_s, 3) << " s (dirty radius " << recipe.dirty_radius()
+            << ")\n\n";
 
   Table table({"batch", "events", "+edges", "-edges", "dirty roots", "rebuilt", "|H|", "ms"});
   double total_s = 0.0;
@@ -247,7 +248,7 @@ int run_churn_replay(const std::string& path, const api::SpannerSpec& spec,
             << " ms/batch)\n";
 
   timer.reset();
-  const EdgeSet scratch = cfg.build_full(inc.graph());
+  const EdgeSet scratch = recipe.build_spanner(inc.graph());
   const bool exact = scratch == inc.spanner();
   std::cout << "final spanner: " << inc.spanner().size() << " edges; from-scratch rebuild "
             << format_double(timer.seconds(), 3) << " s; bit-exact: " << (exact ? "yes" : "NO")

@@ -1,6 +1,6 @@
 #include "api/registry.hpp"
 
-#include <utility>
+#include <optional>
 
 #include "analysis/kconn_oracle.hpp"
 #include "analysis/stretch_oracle.hpp"
@@ -37,207 +37,58 @@ VerifyFn classic_verifier(Stretch stretch) {
   };
 }
 
-Construction make_th1() {
-  Construction c;
-  c.name = "th1";
-  c.summary = "Theorem 1: union of (r,1)-dominating trees, (1+eps,1-2eps)-remote-spanner";
-  c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    return build_low_stretch_remote_spanner(g, spec.eps, spec.tree, ctx.info, ctx.shards);
-  };
-  c.guarantee = [](const SpannerSpec& spec) {
-    return Stretch{1.0 + spec.eps, 1.0 - 2.0 * spec.eps};
-  };
-  c.guarantee_label = [](const SpannerSpec& spec) {
-    const Stretch s{1.0 + spec.eps, 1.0 - 2.0 * spec.eps};
-    return "remote (" + format_double(s.alpha, 2) + "," + format_double(s.beta, 2) + ")";
-  };
-  c.verifier = [](const SpannerSpec& spec) {
-    return remote_verifier(Stretch{1.0 + spec.eps, 1.0 - 2.0 * spec.eps});
-  };
-  c.incremental = [](const SpannerSpec& spec) {
-    return IncrementalConfig::low_stretch(spec.eps, spec.tree);
-  };
-  c.protocol = [](const SpannerSpec& spec) {
-    RemSpanConfig cfg;
-    cfg.kind = spec.tree == TreeAlgorithm::kMis ? RemSpanConfig::Kind::kLowStretchMis
-                                                : RemSpanConfig::Kind::kLowStretchGreedy;
-    cfg.r = domination_radius_for_eps(spec.eps);
-    cfg.beta = 1;
-    return cfg;
-  };
-  return c;
+/// The per-root tree of a union-of-trees kind; nullopt for the others.
+std::optional<TreeRecipe> recipe_of(const SpannerSpec& spec) {
+  switch (spec.kind) {
+    case SpannerSpec::Kind::kTh1:
+      return TreeRecipe::low_stretch(spec.eps, spec.tree);
+    case SpannerSpec::Kind::kTh2:
+      return TreeRecipe::k_connecting(spec.k);
+    case SpannerSpec::Kind::kTh3:
+      return TreeRecipe::two_connecting(spec.k);
+    case SpannerSpec::Kind::kMpr:
+    case SpannerSpec::Kind::kGreedy:
+    case SpannerSpec::Kind::kBaswana:
+    case SpannerSpec::Kind::kFull:
+      return std::nullopt;
+  }
+  return std::nullopt;
 }
 
-Construction make_th2() {
-  Construction c;
-  c.name = "th2";
-  c.summary = "Theorem 2: k-connecting greedy trees, k-connecting (1,0)-remote-spanner";
-  c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    return build_k_connecting_spanner(g, spec.k, ctx.info, ctx.shards);
-  };
-  c.guarantee = [](const SpannerSpec&) { return Stretch{1.0, 0.0}; };
-  c.guarantee_label = [](const SpannerSpec& spec) {
-    return std::to_string(spec.k) + "-connecting remote (1,0)";
-  };
-  c.verifier = [](const SpannerSpec& spec) {
-    return kconn_verifier(spec.k, Stretch{1.0, 0.0});
-  };
-  c.incremental = [](const SpannerSpec& spec) { return IncrementalConfig::k_connecting(spec.k); };
-  c.protocol = [](const SpannerSpec& spec) {
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-    cfg.k = spec.k;
-    return cfg;
-  };
-  return c;
-}
-
-Construction make_th3() {
-  Construction c;
-  c.name = "th3";
-  c.summary = "Theorem 3: k rounds of MIS trees, 2-connecting (2,-1)-remote-spanner";
-  c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    return build_2connecting_spanner(g, spec.k, ctx.info, ctx.shards);
-  };
-  c.guarantee = [](const SpannerSpec&) { return Stretch{2.0, -1.0}; };
-  c.guarantee_label = [](const SpannerSpec&) { return std::string("2-connecting remote (2,-1)"); };
-  // Theorem 3's guarantee is stated for k' <= 2 regardless of the tree
-  // parameter k (remspan_tool has always checked it at 2).
-  c.verifier = [](const SpannerSpec&) { return kconn_verifier(2, Stretch{2.0, -1.0}); };
-  c.incremental = [](const SpannerSpec& spec) { return IncrementalConfig::two_connecting(spec.k); };
-  c.protocol = [](const SpannerSpec& spec) {
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kKConnMis;
-    cfg.k = spec.k;
-    return cfg;
-  };
-  return c;
-}
-
-Construction make_mpr() {
-  Construction c;
-  c.name = "mpr";
-  c.summary = "OLSR multipoint-relay union (RFC 3626), (1,0)-remote-spanner";
-  c.build_edges = [](const Graph& g, const SpannerSpec&, const BuildContext&) {
-    return olsr_mpr_spanner(g);
-  };
-  c.guarantee = [](const SpannerSpec&) { return Stretch{1.0, 0.0}; };
-  c.guarantee_label = [](const SpannerSpec&) { return std::string("remote (1,0) via OLSR MPR"); };
-  c.verifier = [](const SpannerSpec&) { return remote_verifier(Stretch{1.0, 0.0}); };
-  c.protocol = [](const SpannerSpec&) {
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kOlsrMpr;
-    return cfg;
-  };
-  return c;
-}
-
-Construction make_greedy() {
-  Construction c;
-  c.name = "greedy";
-  c.summary = "classical greedy (t,0)-spanner (comparator)";
-  c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext&) {
-    return greedy_spanner(g, spec.t);
-  };
-  c.guarantee = [](const SpannerSpec& spec) { return Stretch{spec.t, 0.0}; };
-  c.guarantee_label = [](const SpannerSpec& spec) {
-    return "classical (" + format_double(spec.t, 1) + ",0)";
-  };
-  c.verifier = [](const SpannerSpec& spec) { return classic_verifier(Stretch{spec.t, 0.0}); };
-  return c;
-}
-
-Construction make_baswana() {
-  Construction c;
-  c.name = "baswana";
-  c.summary = "Baswana-Sen randomized (2k-1,0)-spanner (comparator)";
-  c.build_edges = [](const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-    Rng local(spec.seed);
-    Rng& rng = ctx.rng != nullptr ? *ctx.rng : local;
-    return baswana_sen_spanner(g, spec.k, rng);
-  };
-  c.guarantee = [](const SpannerSpec& spec) { return Stretch{2.0 * spec.k - 1.0, 0.0}; };
-  c.guarantee_label = [](const SpannerSpec& spec) {
-    return "classical (" + format_double(2.0 * spec.k - 1.0, 0) + ",0)";
-  };
-  c.verifier = [](const SpannerSpec& spec) {
-    return classic_verifier(Stretch{2.0 * spec.k - 1.0, 0.0});
-  };
-  return c;
-}
-
-Construction make_full() {
-  Construction c;
-  c.name = "full";
-  c.summary = "all input edges (trivial baseline)";
-  c.build_edges = [](const Graph& g, const SpannerSpec&, const BuildContext&) {
-    return EdgeSet(g, true);
-  };
-  c.guarantee = [](const SpannerSpec&) { return Stretch{1.0, 0.0}; };
-  c.guarantee_label = [](const SpannerSpec&) { return std::string("all edges"); };
-  // No verifier: nothing to check on the identity "spanner".
-  return c;
+[[noreturn]] void unsupported(const SpannerSpec& spec, const char* capability) {
+  throw SpecError(std::string("construction '") + spec.kind_name() + "' has no " + capability);
 }
 
 }  // namespace
 
-ConstructionRegistry& ConstructionRegistry::global() {
-  static ConstructionRegistry registry = [] {
-    ConstructionRegistry r;
-    r.register_construction(make_th1());
-    r.register_construction(make_th2());
-    r.register_construction(make_th3());
-    r.register_construction(make_mpr());
-    r.register_construction(make_greedy());
-    r.register_construction(make_baswana());
-    r.register_construction(make_full());
-    return r;
-  }();
-  return registry;
-}
-
-void ConstructionRegistry::register_construction(Construction entry) {
-  if (entry.name.empty() || entry.build_edges == nullptr || entry.guarantee == nullptr ||
-      entry.guarantee_label == nullptr) {
-    throw SpecError(
-        "construction registration needs a name, build_edges, guarantee and guarantee_label");
-  }
-  const auto [it, inserted] = entries_.emplace(entry.name, std::move(entry));
-  if (!inserted) {
-    throw SpecError("construction '" + it->first + "' is already registered");
-  }
-}
-
-const Construction* ConstructionRegistry::find(const std::string& name) const {
-  const auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-const Construction& ConstructionRegistry::at(const SpannerSpec& spec) const {
-  const Construction* entry = find(spec.kind_name());
-  if (entry == nullptr) {
-    throw SpecError(std::string("construction '") + spec.kind_name() + "' is not registered");
-  }
-  return *entry;
-}
-
-std::vector<std::string> ConstructionRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;
-}
-
 SpannerResult build_spanner(const Graph& g, const SpannerSpec& spec, const BuildContext& ctx) {
-  const Construction& entry = ConstructionRegistry::global().at(spec);
   SpannerResult res{EdgeSet(g), {}, {}, {}, {}};
-  BuildContext inner = ctx;
-  if (inner.info == nullptr) inner.info = &res.info;
-  res.edges = entry.build_edges(g, spec, inner);
-  res.info = *inner.info;
-  res.guarantee = entry.guarantee(spec);
-  res.guarantee_label = entry.guarantee_label(spec);
-  if (entry.verifier != nullptr) res.verify = entry.verifier(spec);
+  SpannerBuildInfo* info = ctx.info != nullptr ? ctx.info : &res.info;
+  switch (spec.kind) {
+    case SpannerSpec::Kind::kTh1:
+    case SpannerSpec::Kind::kTh2:
+    case SpannerSpec::Kind::kTh3:
+      res.edges = recipe_of(spec)->build_spanner(g, info, ctx.shards);
+      break;
+    case SpannerSpec::Kind::kMpr:
+      res.edges = olsr_mpr_spanner(g);
+      break;
+    case SpannerSpec::Kind::kGreedy:
+      res.edges = greedy_spanner(g, spec.t);
+      break;
+    case SpannerSpec::Kind::kBaswana: {
+      Rng local(spec.seed);
+      res.edges = baswana_sen_spanner(g, spec.k, ctx.rng != nullptr ? *ctx.rng : local);
+      break;
+    }
+    case SpannerSpec::Kind::kFull:
+      res.edges = EdgeSet(g, true);
+      break;
+  }
+  res.info = *info;
+  res.guarantee = guarantee(spec);
+  res.guarantee_label = guarantee_label(spec);
+  res.verify = make_verifier(spec);
   return res;
 }
 
@@ -246,40 +97,93 @@ SpannerResult build_spanner(const Graph& g, const std::string& spec, const Build
 }
 
 Stretch guarantee(const SpannerSpec& spec) {
-  return ConstructionRegistry::global().at(spec).guarantee(spec);
+  switch (spec.kind) {
+    case SpannerSpec::Kind::kTh1:
+      return Stretch{1.0 + spec.eps, 1.0 - 2.0 * spec.eps};
+    case SpannerSpec::Kind::kTh3:
+      return Stretch{2.0, -1.0};
+    case SpannerSpec::Kind::kGreedy:
+      return Stretch{spec.t, 0.0};
+    case SpannerSpec::Kind::kBaswana:
+      return Stretch{2.0 * spec.k - 1.0, 0.0};
+    case SpannerSpec::Kind::kTh2:
+    case SpannerSpec::Kind::kMpr:
+    case SpannerSpec::Kind::kFull:
+      return Stretch{1.0, 0.0};
+  }
+  return Stretch{1.0, 0.0};
 }
 
 std::string guarantee_label(const SpannerSpec& spec) {
-  return ConstructionRegistry::global().at(spec).guarantee_label(spec);
+  const Stretch s = guarantee(spec);
+  switch (spec.kind) {
+    case SpannerSpec::Kind::kTh1:
+      return "remote (" + format_double(s.alpha, 2) + "," + format_double(s.beta, 2) + ")";
+    case SpannerSpec::Kind::kTh2:
+      return std::to_string(spec.k) + "-connecting remote (1,0)";
+    case SpannerSpec::Kind::kTh3:
+      return "2-connecting remote (2,-1)";
+    case SpannerSpec::Kind::kMpr:
+      return "remote (1,0) via OLSR MPR";
+    case SpannerSpec::Kind::kGreedy:
+      return "classical (" + format_double(s.alpha, 1) + ",0)";
+    case SpannerSpec::Kind::kBaswana:
+      return "classical (" + format_double(s.alpha, 0) + ",0)";
+    case SpannerSpec::Kind::kFull:
+      return "all edges";
+  }
+  return "?";
 }
 
 VerifyFn make_verifier(const SpannerSpec& spec) {
-  const Construction& entry = ConstructionRegistry::global().at(spec);
-  return entry.verifier == nullptr ? VerifyFn{} : entry.verifier(spec);
+  const Stretch s = guarantee(spec);
+  switch (spec.kind) {
+    case SpannerSpec::Kind::kTh1:
+    case SpannerSpec::Kind::kMpr:
+      return remote_verifier(s);
+    case SpannerSpec::Kind::kTh2:
+      return kconn_verifier(spec.k, s);
+    case SpannerSpec::Kind::kTh3:
+      // Theorem 3's guarantee is stated for k' <= 2 regardless of the tree
+      // parameter k (remspan_tool has always checked it at 2).
+      return kconn_verifier(2, s);
+    case SpannerSpec::Kind::kGreedy:
+    case SpannerSpec::Kind::kBaswana:
+      return classic_verifier(s);
+    case SpannerSpec::Kind::kFull:
+      return {};  // nothing to check on the identity "spanner"
+  }
+  return {};
 }
 
-IncrementalConfig incremental_config(const SpannerSpec& spec) {
-  const Construction& entry = ConstructionRegistry::global().at(spec);
-  if (entry.incremental == nullptr) {
-    throw SpecError("construction '" + entry.name + "' has no incremental maintenance support");
-  }
-  return entry.incremental(spec);
+TreeRecipe incremental_config(const SpannerSpec& spec) {
+  if (const std::optional<TreeRecipe> recipe = recipe_of(spec)) return *recipe;
+  unsupported(spec, "incremental maintenance support");
 }
 
 RemSpanConfig protocol_config(const SpannerSpec& spec) {
-  const Construction& entry = ConstructionRegistry::global().at(spec);
-  if (entry.protocol == nullptr) {
-    throw SpecError("construction '" + entry.name + "' has no distributed protocol");
-  }
-  return entry.protocol(spec);
+  if (spec.kind == SpannerSpec::Kind::kMpr) return RemSpanConfig{.olsr_mpr = true};
+  if (const std::optional<TreeRecipe> recipe = recipe_of(spec)) return RemSpanConfig{*recipe};
+  unsupported(spec, "distributed protocol");
 }
 
 bool supports_incremental(const SpannerSpec& spec) {
-  return ConstructionRegistry::global().at(spec).incremental != nullptr;
+  switch (spec.kind) {
+    case SpannerSpec::Kind::kTh1:
+    case SpannerSpec::Kind::kTh2:
+    case SpannerSpec::Kind::kTh3:
+      return true;
+    case SpannerSpec::Kind::kMpr:
+    case SpannerSpec::Kind::kGreedy:
+    case SpannerSpec::Kind::kBaswana:
+    case SpannerSpec::Kind::kFull:
+      return false;
+  }
+  return false;
 }
 
 bool supports_protocol(const SpannerSpec& spec) {
-  return ConstructionRegistry::global().at(spec).protocol != nullptr;
+  return supports_incremental(spec) || spec.kind == SpannerSpec::Kind::kMpr;
 }
 
 IncrementalSession::IncrementalSession(const Graph& initial, const SpannerSpec& spec)

@@ -1,30 +1,27 @@
-// The construction registry and the remspan::api facade: one way in for
-// every driver (remspan_tool, the benches, the C ABI, external code).
+// The remspan::api facade: one way in for every driver (remspan_tool, the
+// benches, the C ABI, external code).
 //
-// A SpannerSpec names a construction; the registry maps it to an entry that
-// knows how to (a) build the spanner with its paper guarantee and matching
-// exact-oracle verifier, (b) open an incremental-maintenance config for it
-// (src/dynamic), and (c) open a distributed-protocol config for it
-// (src/sim: a RemSpanConfig for the one node program RemSpanProtocol, which
-// run_remspan_distributed runs once and ReconvergenceSim once per churn
-// batch) — each capability optional per construction. The seven shipped
-// constructions (th1, th2, th3, mpr, greedy, baswana, full) are registered
-// at startup; future constructions (weighted remote-spanners, CONGEST
-// comparators) plug in through register_construction and become reachable
-// from every driver at once, string-addressable by spec.
+// A SpannerSpec names one of the seven shipped constructions (th1, th2,
+// th3, mpr, greedy, baswana, full); each facade function is a switch over
+// those kinds. The facade (a) builds the spanner with its paper guarantee
+// and matching exact-oracle verifier, (b) opens an incremental-maintenance
+// config for it (src/dynamic), and (c) opens a distributed-protocol config
+// for it (src/sim: a RemSpanConfig for the one node program
+// RemSpanProtocol, which run_remspan_distributed runs once and
+// ReconvergenceSim once per churn batch) — (b) and (c) only where the
+// construction has them. The union-of-trees kinds th1/th2/th3 map to one
+// TreeRecipe (core/remote_spanner.hpp), and building, the incremental
+// config and the protocol config all come from that recipe.
 //
-// Build functions are thin: they call the exact same underlying library
-// entry points (core/, baseline/) a direct caller would, so going through
-// the registry is bit-identical to calling the construction directly
-// (tests/test_api_spec.cpp pins this for all seven).
+// Builds call the exact same library entry points (core/, baseline/) a
+// direct caller would, so going through the facade is bit-identical to
+// calling the construction directly (tests/test_api_spec.cpp pins this
+// for all seven).
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "api/spec.hpp"
 #include "core/remote_spanner.hpp"
@@ -36,7 +33,7 @@
 
 namespace remspan::api {
 
-/// Optional knobs a driver can thread into a registry build.
+/// Optional knobs a driver can thread into a facade build.
 struct BuildContext {
   /// RNG for seeded constructions (baswana). When null, the build derives a
   /// fresh Rng from spec.seed; passing one lets a driver share generator
@@ -67,7 +64,7 @@ struct VerifyReport {
 /// classical stretch); null when there is nothing to verify ("full").
 using VerifyFn = std::function<VerifyReport(const Graph&, const EdgeSet&, const VerifyOptions&)>;
 
-/// What a registry build returns: the spanner plus everything a driver
+/// What a facade build returns: the spanner plus everything a driver
 /// needs to report and check it without knowing which construction ran.
 struct SpannerResult {
   EdgeSet edges;
@@ -80,48 +77,9 @@ struct SpannerResult {
   VerifyFn verify;
 };
 
-/// One registered construction. `build_edges`, `guarantee` and
-/// `guarantee_label` are mandatory; `verifier`, `incremental` and
-/// `protocol` are null for constructions without the capability.
-struct Construction {
-  std::string name;     ///< registry key == SpannerSpec kind name
-  std::string summary;  ///< one-line description (--help, docs)
-  std::function<EdgeSet(const Graph&, const SpannerSpec&, const BuildContext&)> build_edges;
-  std::function<Stretch(const SpannerSpec&)> guarantee;
-  std::function<std::string(const SpannerSpec&)> guarantee_label;
-  std::function<VerifyFn(const SpannerSpec&)> verifier;
-  std::function<IncrementalConfig(const SpannerSpec&)> incremental;
-  std::function<RemSpanConfig(const SpannerSpec&)> protocol;
-};
-
-/// Name -> Construction map behind the facade. Thread-compatible: register
-/// at startup, look up from anywhere.
-class ConstructionRegistry {
- public:
-  /// The process-wide registry, pre-populated with the seven shipped
-  /// constructions on first use.
-  [[nodiscard]] static ConstructionRegistry& global();
-
-  /// Registers a construction; throws SpecError if the name is taken or
-  /// the entry has no build function.
-  void register_construction(Construction entry);
-
-  /// Entry by name, or null when unknown.
-  [[nodiscard]] const Construction* find(const std::string& name) const;
-
-  /// Entry for a spec; throws SpecError when the kind is not registered.
-  [[nodiscard]] const Construction& at(const SpannerSpec& spec) const;
-
-  /// Registered names in sorted order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, Construction> entries_;
-};
-
 // --- facade ---------------------------------------------------------------
 
-/// Builds the spanner a spec describes via the registry.
+/// Builds the spanner a spec describes.
 [[nodiscard]] SpannerResult build_spanner(const Graph& g, const SpannerSpec& spec,
                                           const BuildContext& ctx = {});
 
@@ -137,9 +95,10 @@ class ConstructionRegistry {
 /// has nothing to verify.
 [[nodiscard]] VerifyFn make_verifier(const SpannerSpec& spec);
 
-/// Maps a spec to its incremental-maintenance config; throws SpecError when
-/// the construction has no incremental support (mpr, greedy, baswana, full).
-[[nodiscard]] IncrementalConfig incremental_config(const SpannerSpec& spec);
+/// Maps a spec to the tree recipe an IncrementalSpanner maintains; throws
+/// SpecError when the construction has no incremental support (mpr,
+/// greedy, baswana, full).
+[[nodiscard]] TreeRecipe incremental_config(const SpannerSpec& spec);
 
 /// Maps a spec to its distributed-protocol config; throws SpecError when the
 /// construction has no protocol (greedy, baswana, full).

@@ -292,9 +292,9 @@ remspan_status_t remspan_session_open(const remspan_graph_t* graph, const char* 
     if (graph == nullptr || spanner_spec == nullptr || out_session == nullptr) {
       return fail(REMSPAN_ERR_INVALID_ARGUMENT, "null pointer argument");
     }
+    // An unknown construction name throws SpecError here (->
+    // REMSPAN_ERR_PARSE), which must not cross the ABI.
     const api::SpannerSpec spec = api::parse_spanner_spec(spanner_spec);
-    // For an unregistered custom name the registry lookup below throws
-    // SpecError (-> REMSPAN_ERR_PARSE), which must not cross the ABI.
     if (!api::supports_incremental(spec)) {
       return fail(REMSPAN_ERR_UNSUPPORTED, "construction '" + std::string(spec.kind_name()) +
                                                "' has no incremental maintenance support");

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -140,22 +141,6 @@ SpannerSpec SpannerSpec::full() {
   return s;
 }
 
-SpannerSpec SpannerSpec::custom(std::string name,
-                                std::vector<std::pair<std::string, std::string>> params) {
-  SpannerSpec s;
-  s.kind = Kind::kCustom;
-  s.custom_name = std::move(name);
-  s.custom_params = std::move(params);
-  return s;
-}
-
-std::optional<std::string> SpannerSpec::custom_param(const std::string& key) const {
-  for (const auto& [param_key, param_value] : custom_params) {
-    if (param_key == key) return param_value;
-  }
-  return std::nullopt;
-}
-
 const char* SpannerSpec::kind_name() const noexcept {
   switch (kind) {
     case Kind::kTh1: return "th1";
@@ -165,7 +150,6 @@ const char* SpannerSpec::kind_name() const noexcept {
     case Kind::kGreedy: return "greedy";
     case Kind::kBaswana: return "baswana";
     case Kind::kFull: return "full";
-    case Kind::kCustom: return custom_name.c_str();
   }
   return "?";
 }
@@ -187,12 +171,6 @@ std::string SpannerSpec::to_string() const {
     case Kind::kBaswana:
       out += "?k=" + std::to_string(k);
       if (seed != 1) out += "&seed=" + std::to_string(seed);
-      break;
-    case Kind::kCustom:
-      for (std::size_t i = 0; i < custom_params.size(); ++i) {
-        out += (i == 0 ? "?" : "&");
-        out += custom_params[i].first + "=" + custom_params[i].second;
-      }
       break;
     case Kind::kMpr:
     case Kind::kFull:
@@ -219,20 +197,8 @@ SpannerSpec parse_spanner_spec(const std::string& text) {
   } else if (split.kind == "full") {
     spec = SpannerSpec::full();
   } else {
-    // Not a built-in: a runtime-registered construction. Parameters pass
-    // through raw for the registry entry to interpret; the name must still
-    // look like a registry key so typos fail fast.
-    for (const char c : split.kind) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '-';
-      if (!ok) {
-        throw SpecError("unknown construction '" + split.kind +
-                        "' (th1|th2|th3|mpr|greedy|baswana|full or a registered name)");
-      }
-    }
-    std::vector<std::pair<std::string, std::string>> params;
-    params.reserve(split.params.size());
-    for (const Param& p : split.params) params.emplace_back(p.key, p.value);
-    return SpannerSpec::custom(split.kind, std::move(params));
+    throw SpecError("unknown construction '" + split.kind +
+                    "' (th1|th2|th3|mpr|greedy|baswana|full)");
   }
   for (const Param& p : split.params) {
     switch (spec.kind) {
@@ -277,7 +243,6 @@ SpannerSpec parse_spanner_spec(const std::string& text) {
         break;
       case SpannerSpec::Kind::kMpr:
       case SpannerSpec::Kind::kFull:
-      case SpannerSpec::Kind::kCustom:  // unreachable: custom returns above
         unknown_key(split.kind, p);
     }
   }

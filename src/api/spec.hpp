@@ -4,9 +4,6 @@
 //
 //   spanner-spec := kind [ '?' key '=' value ( '&' key '=' value )* ]
 //                   kind in { th1, th2, th3, mpr, greedy, baswana, full }
-//                   or any runtime-registered construction name (kCustom:
-//                   parameters pass through raw; the registry entry
-//                   validates them)
 //   graph-spec   := 'file:' path
 //                 | kind [ '?' key '=' value ( '&' key '=' value )* ]
 //                   kind in { udg, gnp, ba, ws, grid }
@@ -18,18 +15,15 @@
 // default omitted). Unknown kinds, unknown keys and out-of-range values
 // throw SpecError with the offending token named.
 //
-// These specs are the currency of the whole public surface: the
-// construction registry (api/registry.hpp) maps a SpannerSpec to a build
-// function, remspan_tool assembles one from its flags, and the C ABI
+// These specs are the currency of the whole public surface: the facade
+// (api/registry.hpp) maps a SpannerSpec to its construction, remspan_tool
+// assembles one from its flags, and the C ABI
 // (include/remspan/remspan.h) accepts the string forms verbatim.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/remote_spanner.hpp"
 #include "graph/graph.hpp"
@@ -57,7 +51,6 @@ struct SpannerSpec {
     kGreedy,   ///< classical greedy (t,0)-spanner (param t)
     kBaswana,  ///< Baswana-Sen (2k-1,0)-spanner (params k, seed)
     kFull,     ///< all edges (trivial baseline)
-    kCustom,   ///< a runtime-registered construction (name + raw params)
   };
 
   Kind kind = Kind::kTh2;
@@ -66,11 +59,6 @@ struct SpannerSpec {
   Dist k = 1;                                ///< th2/th3 connectivity, baswana parameter
   double t = 3.0;                            ///< greedy stretch, >= 1
   std::uint64_t seed = 1;                    ///< baswana RNG seed
-  /// kCustom only: the registry key plus the raw key=value parameters, in
-  /// spec-string order. Built-in kinds leave both empty; the registered
-  /// entry interprets the parameters (parse cannot validate them).
-  std::string custom_name;
-  std::vector<std::pair<std::string, std::string>> custom_params;
 
   [[nodiscard]] static SpannerSpec th1(double eps, TreeAlgorithm tree = TreeAlgorithm::kMis);
   [[nodiscard]] static SpannerSpec th2(Dist k = 1);
@@ -79,13 +67,8 @@ struct SpannerSpec {
   [[nodiscard]] static SpannerSpec greedy(double t = 3.0);
   [[nodiscard]] static SpannerSpec baswana(Dist k = 2, std::uint64_t seed = 1);
   [[nodiscard]] static SpannerSpec full();
-  [[nodiscard]] static SpannerSpec custom(
-      std::string name, std::vector<std::pair<std::string, std::string>> params = {});
 
-  /// kCustom parameter lookup (nullopt when absent or not kCustom).
-  [[nodiscard]] std::optional<std::string> custom_param(const std::string& key) const;
-
-  /// Registry key of the kind: "th1", "th2", ..., or the custom name.
+  /// Name of the kind: "th1", "th2", ..., "full".
   [[nodiscard]] const char* kind_name() const noexcept;
 
   /// Canonical string form, e.g. "th1?eps=0.5" ("&tree=greedy" only when
@@ -97,8 +80,8 @@ struct SpannerSpec {
 };
 
 /// Parses the spanner-spec grammar above; throws SpecError on unknown
-/// kind/key, malformed numbers, or out-of-range values (eps outside (0,1],
-/// k < 1, t < 1).
+/// kind/key (an unknown kind's message lists the seven kinds), malformed
+/// numbers, or out-of-range values (eps outside (0,1], k < 1, t < 1).
 [[nodiscard]] SpannerSpec parse_spanner_spec(const std::string& text);
 
 /// A graph workload: either a generator family with parameters or an edge
@@ -153,7 +136,7 @@ struct GraphSpec {
 [[nodiscard]] Graph build_graph(const GraphSpec& spec, Rng* rng = nullptr);
 
 /// Canonical minimal rendering of a numeric spec value ("0.5", not
-/// "0.500000"); shared by the spec printers and the registry labels.
+/// "0.500000"); shared by the spec printers and the guarantee labels.
 [[nodiscard]] std::string spec_number(double v);
 
 }  // namespace remspan::api

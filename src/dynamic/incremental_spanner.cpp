@@ -7,95 +7,6 @@
 
 namespace remspan {
 
-IncrementalConfig IncrementalConfig::r_beta_tree(Dist r, Dist beta, TreeAlgorithm algo) {
-  REMSPAN_CHECK(r >= 2);
-  if (algo == TreeAlgorithm::kMis) REMSPAN_CHECK(beta == 1);
-  IncrementalConfig cfg;
-  cfg.construction = Construction::kRBetaTree;
-  cfg.algo = algo;
-  cfg.r = r;
-  cfg.beta = beta;
-  return cfg;
-}
-
-IncrementalConfig IncrementalConfig::low_stretch(double eps, TreeAlgorithm algo) {
-  return r_beta_tree(domination_radius_for_eps(eps), 1, algo);
-}
-
-IncrementalConfig IncrementalConfig::k_connecting(Dist k) {
-  REMSPAN_CHECK(k >= 1);
-  IncrementalConfig cfg;
-  cfg.construction = Construction::kKConnecting;
-  cfg.r = 2;
-  cfg.beta = 0;
-  cfg.k = k;
-  return cfg;
-}
-
-IncrementalConfig IncrementalConfig::two_connecting(Dist k) {
-  REMSPAN_CHECK(k >= 1);
-  IncrementalConfig cfg;
-  cfg.construction = Construction::k2Connecting;
-  cfg.r = 2;
-  cfg.beta = 1;
-  cfg.k = k;
-  return cfg;
-}
-
-Dist IncrementalConfig::ball_depth() const noexcept {
-  // MIS trees have beta = 1 (depth r); the k-connecting shells have r = 2
-  // and beta <= 1 (depth 2).
-  return std::max<Dist>(r, r - 1 + beta);
-}
-
-Dist IncrementalConfig::dirty_radius() const noexcept {
-  // Exact dependency radius of the per-root tree builds, max over what the
-  // algorithms actually read (see the header comment): the BFS shells to
-  // depth D = max(r, r-1+beta) depend on edges with an endpoint at depth
-  // <= D-1, and every cover/attachment scan reads edges with an endpoint at
-  // depth <= r-1+beta (a candidate or tree node). For the k-connecting
-  // greedy (r=2, beta=0) this collapses to 1: only edges touching
-  // {u} ∪ N(u) influence relay selection — shell-2-to-shell-2 edges are
-  // never read.
-  return std::max<Dist>(1, r + beta - 1);
-}
-
-RootedTree IncrementalConfig::build_tree(DomTreeBuilder& builder, NodeId root) const {
-  switch (construction) {
-    case Construction::kRBetaTree:
-      return algo == TreeAlgorithm::kMis ? builder.mis(root, r) : builder.greedy(root, r, beta);
-    case Construction::kKConnecting:
-      return builder.greedy_k(root, k);
-    case Construction::k2Connecting:
-      return builder.mis_k(root, k);
-  }
-  detail::check_failed("unknown IncrementalConfig::Construction", std::source_location::current());
-}
-
-EdgeSet IncrementalConfig::build_full(const Graph& g, SpannerBuildInfo* info) const {
-  switch (construction) {
-    case Construction::kRBetaTree:
-      return build_remote_spanner(g, r, beta, algo, info);
-    case Construction::kKConnecting:
-      return build_k_connecting_spanner(g, k, info);
-    case Construction::k2Connecting:
-      return build_2connecting_spanner(g, k, info);
-  }
-  detail::check_failed("unknown IncrementalConfig::Construction", std::source_location::current());
-}
-
-const char* IncrementalConfig::name() const noexcept {
-  switch (construction) {
-    case Construction::kRBetaTree:
-      return algo == TreeAlgorithm::kMis ? "r-beta (mis)" : "r-beta (greedy)";
-    case Construction::kKConnecting:
-      return "k-connecting (1,0)";
-    case Construction::k2Connecting:
-      return "k-connecting (2,1)";
-  }
-  return "?";
-}
-
 std::vector<NodeId> collect_dirty_roots(const Graph& old_graph, const Graph& new_graph,
                                         std::span<const NodeId> touched, Dist radius,
                                         BoundedBfs& bfs, std::vector<std::uint8_t>& flag) {
@@ -145,9 +56,9 @@ std::size_t union_size(std::span<const NodeId> a, std::span<const NodeId> b) {
 
 }  // namespace
 
-IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, IncrementalConfig config)
+IncrementalSpanner::IncrementalSpanner(DynamicGraph& graph, TreeRecipe recipe)
     : dynamic_(&graph),
-      config_(config),
+      recipe_(recipe),
       version_(graph.version()),
       flag_(graph.num_nodes(), 0),
       dirty_bfs_(graph.num_nodes()) {
@@ -164,8 +75,8 @@ void IncrementalSpanner::full_build() {
   // The static engine builds every tree; the visitor keeps what the dirty
   // rebuilds need: each root's tree slots and the per-slot refcounts.
   spanner_ = cluster_union_of_trees(
-      g, config_.ball_depth(),
-      [this](DomTreeBuilder& builder, NodeId root) { return config_.build_tree(builder, root); },
+      g, recipe_.ball_depth(),
+      [this](DomTreeBuilder& builder, NodeId root) { return recipe_.build_tree(builder, root); },
       {}, nullptr, [&](NodeId root, const RootedTree& tree, const BallGather& gather) {
         std::vector<EdgeId>& out = trees_[root];
         out.clear();
@@ -233,8 +144,8 @@ void IncrementalSpanner::stage_dirty_trees() {
   locality_order(live, dirty_, shards.batch_roots, flag_, order_);
   staged_.resize(order_.size());
   (void)engine_.build(
-      live, order_, config_.ball_depth(),
-      [this](DomTreeBuilder& builder, NodeId root) { return config_.build_tree(builder, root); },
+      live, order_, recipe_.ball_depth(),
+      [this](DomTreeBuilder& builder, NodeId root) { return recipe_.build_tree(builder, root); },
       shards, nullptr,
       [this](std::size_t i, NodeId /*root*/, const RootedTree& /*tree*/,
              const BallGather& /*gather*/, std::span<const EdgeId> slots) {
@@ -314,7 +225,7 @@ ChurnBatchStats IncrementalSpanner::apply_batch(std::span<const GraphEvent> even
   stats.touched_nodes = union_size(removed_touched_, inserted_touched_);
   expand_dirty_roots(PreBatchView(*dynamic_, removed_arcs_, inserted_arcs_),
                      LiveView(*dynamic_), removed_touched_, inserted_touched_,
-                     config_.dirty_radius(), dirty_bfs_, flag_, dirty_);
+                     recipe_.dirty_radius(), dirty_bfs_, flag_, dirty_);
   stats.dirty_roots = dirty_.size();
 
   // Stage every rebuilt tree before touching committed state: if a build

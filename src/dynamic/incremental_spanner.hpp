@@ -4,13 +4,10 @@
 // The locality that makes the per-root dominating trees embarrassingly
 // parallel also makes them incrementally maintainable: the tree of root u
 // is a deterministic function of the edges with an endpoint at BFS depth
-// <= dirty_radius() from u (the shells to depth max(r, r-1+beta) are fixed
-// by edges with an endpoint below that depth, and every cover/attachment
-// scan only reads edges incident to a candidate or tree node, all at depth
-// <= r-1+beta). An edge flip {a,b} can therefore only change trees whose
-// root lies within dirty_radius() = max(1, r+beta-1) of a or b (at old
-// distances for removals, new ones for insertions). Per batch of updates
-// the engine
+// <= dirty_radius() from u (TreeRecipe::dirty_radius, core/remote_spanner.hpp,
+// has the argument). An edge flip {a,b} can therefore only change trees
+// whose root lies within dirty_radius() of a or b (at old distances for
+// removals, new ones for insertions). Per batch of updates the engine
 //
 //   1. takes the delta from the batch: DynamicGraph::apply_all reports the
 //      net removed and inserted live edges with their slots (stable edge
@@ -62,49 +59,9 @@
 
 namespace remspan {
 
-/// Which spanner construction the engine maintains; mirrors the three
-/// theorem front-ends of core/remote_spanner.hpp.
-struct IncrementalConfig {
-  enum class Construction {
-    kRBetaTree,     ///< union of (r, beta)-dominating trees (Theorem 1 shape)
-    kKConnecting,   ///< k-connecting (1,0), greedy k-cover trees (Theorem 2)
-    k2Connecting,   ///< k-connecting (2,1) trees via k MIS rounds (Theorem 3)
-  };
-
-  Construction construction = Construction::kKConnecting;
-  TreeAlgorithm algo = TreeAlgorithm::kGreedy;  ///< tree backend for kRBetaTree
-  Dist r = 2;     ///< domination radius (kRBetaTree)
-  Dist beta = 0;  ///< domination slack (kRBetaTree; MIS requires beta = 1)
-  Dist k = 1;     ///< connectivity target (kKConnecting / k2Connecting)
-
-  [[nodiscard]] static IncrementalConfig r_beta_tree(Dist r, Dist beta, TreeAlgorithm algo);
-  /// Theorem 1 front-end: (1+eps, 1-2eps)-remote-spanner.
-  [[nodiscard]] static IncrementalConfig low_stretch(double eps,
-                                                     TreeAlgorithm algo = TreeAlgorithm::kMis);
-  /// Theorem 2 front-end: k-connecting (1,0)-remote-spanner.
-  [[nodiscard]] static IncrementalConfig k_connecting(Dist k);
-  /// Theorem 3 front-end: k-connecting (2,-1)-remote-spanner.
-  [[nodiscard]] static IncrementalConfig two_connecting(Dist k = 2);
-
-  /// A changed edge can only affect roots within this distance of one of
-  /// its endpoints: max(1, r + beta - 1), the exact dependency radius of
-  /// the per-root tree builds (r = 2 for the distance-2 shell
-  /// constructions — radius 1 for the greedy k-cover, whose relay picks
-  /// never read edges between two shell-2 nodes).
-  [[nodiscard]] Dist dirty_radius() const noexcept;
-
-  /// Deepest BFS shell the per-root tree build explores: max(r, r-1+beta).
-  /// The full build gathers each root cluster's ball to this depth.
-  [[nodiscard]] Dist ball_depth() const noexcept;
-
-  /// Runs the configured per-root tree algorithm.
-  [[nodiscard]] RootedTree build_tree(DomTreeBuilder& builder, NodeId root) const;
-
-  /// The matching from-scratch construction (the equivalence oracle).
-  [[nodiscard]] EdgeSet build_full(const Graph& g, SpannerBuildInfo* info = nullptr) const;
-
-  [[nodiscard]] const char* name() const noexcept;
-};
+/// The construction the engine maintains is a TreeRecipe
+/// (core/remote_spanner.hpp); this older name stays for callers that use it.
+using IncrementalConfig = TreeRecipe;
 
 /// The dirty-root expansion over any pair of views: the sorted set of
 /// roots within `radius` hops of a removed-edge endpoint in `old_view` or
@@ -216,9 +173,9 @@ class IncrementalSpanner {
   /// Builds the full spanner on the dynamic graph's current topology,
   /// recording every root's tree slots and the per-slot refcounts. The
   /// DynamicGraph must outlive the engine.
-  IncrementalSpanner(DynamicGraph& graph, IncrementalConfig config);
+  IncrementalSpanner(DynamicGraph& graph, TreeRecipe recipe);
 
-  [[nodiscard]] const IncrementalConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const TreeRecipe& recipe() const noexcept { return recipe_; }
 
   /// The live topology the maintained spanner refers to, as a canonical
   /// CSR snapshot (DynamicGraph::snapshot(), built on the first call after
@@ -262,7 +219,7 @@ class IncrementalSpanner {
   void check_current() const;
 
   DynamicGraph* dynamic_;
-  IncrementalConfig config_;
+  TreeRecipe recipe_;
   std::uint64_t version_ = 0;
   /// Per-root tree edges as slots: stable across batches, so clean roots
   /// carry zero per-batch cost.

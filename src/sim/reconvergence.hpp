@@ -20,10 +20,10 @@
 //                    the incremental maintenance engine
 //                    (collect_dirty_roots, src/dynamic): the nodes within
 //                    flood_scope() hops of a touched endpoint in the old or
-//                    new snapshot. For every protocol kind the flood scope
-//                    equals the dependency radius max(1, r+beta-1) of the
-//                    per-root computation, so this set is both sufficient
-//                    and locally computable.
+//                    new snapshot. The flood scope is the recipe's
+//                    dependency radius (TreeRecipe::dirty_radius, or 1 for
+//                    MPR), so this set is both sufficient and locally
+//                    computable.
 //
 // Why scoping re-advertisement to the dirty ball reaches the same converged
 // state as a full re-flood, bit for bit:

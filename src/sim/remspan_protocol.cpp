@@ -37,36 +37,19 @@ void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t inter
 
 }  // namespace
 
-Dist RemSpanConfig::flood_scope() const {
-  switch (kind) {
-    case Kind::kLowStretchGreedy:
-      return r - 1 + beta;
-    case Kind::kLowStretchMis:
-      return r;  // r - 1 + 1
-    case Kind::kKConnGreedy:
-      return 1;  // r = 2, beta = 0
-    case Kind::kKConnMis:
-      return 2;  // r = 2, beta = 1
-    case Kind::kOlsrMpr:
-      return 1;  // MPR selection reads nothing beyond N(u)'s links
-  }
-  return 1;
-}
-
 std::uint32_t RemSpanConfig::expected_rounds() const { return 1 + 2 * flood_scope(); }
 
 const char* RemSpanConfig::kind_name() const noexcept {
-  switch (kind) {
-    case Kind::kLowStretchGreedy:
+  if (olsr_mpr) return "olsr-mpr";
+  switch (tree.algorithm()) {
+    case TreeRecipe::Algorithm::kGreedy:
       return "low-stretch (greedy)";
-    case Kind::kLowStretchMis:
+    case TreeRecipe::Algorithm::kMis:
       return "low-stretch (mis)";
-    case Kind::kKConnGreedy:
+    case TreeRecipe::Algorithm::kGreedyK:
       return "k-connecting (greedy)";
-    case Kind::kKConnMis:
+    case TreeRecipe::Algorithm::kMisK:
       return "k-connecting (mis)";
-    case Kind::kOlsrMpr:
-      return "olsr-mpr";
   }
   return "?";
 }
@@ -100,7 +83,7 @@ std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId s
   const NodeId root = local_id.at(self);
 
   std::vector<Edge> out;
-  if (config.kind == RemSpanConfig::Kind::kOlsrMpr) {
+  if (config.olsr_mpr) {
     for (const NodeId m : olsr_mpr_set(local, root)) {
       out.push_back(make_edge(self, known[m]));
     }
@@ -108,21 +91,7 @@ std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId s
   }
 
   DomTreeBuilder trees(local);
-  const RootedTree tree = [&] {
-    switch (config.kind) {
-      case RemSpanConfig::Kind::kLowStretchGreedy:
-        return trees.greedy(root, config.r, config.beta);
-      case RemSpanConfig::Kind::kLowStretchMis:
-        return trees.mis(root, config.r);
-      case RemSpanConfig::Kind::kKConnGreedy:
-        return trees.greedy_k(root, config.k);
-      case RemSpanConfig::Kind::kKConnMis:
-        return trees.mis_k(root, config.k);
-      case RemSpanConfig::Kind::kOlsrMpr:
-        break;  // handled above
-    }
-    return RootedTree(root);
-  }();
+  const RootedTree tree = config.tree.build_tree(trees, root);
   for (const Edge& e : tree.edges()) {
     out.push_back(make_edge(known[e.u], known[e.v]));
   }

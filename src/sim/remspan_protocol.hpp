@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/dominating_tree.hpp"
+#include "core/remote_spanner.hpp"
 #include "graph/bfs.hpp"
 #include "graph/edge_set.hpp"
 #include "sim/flooding.hpp"
@@ -70,26 +71,18 @@ inline constexpr std::size_t kVersionPrefixWords = 1;
 inline constexpr std::uint32_t kLosslessRoundSlack = 4;
 
 struct RemSpanConfig {
-  /// Which dominating-tree algorithm each node runs locally.
-  enum class Kind {
-    kLowStretchGreedy,  ///< Algorithm 1, (r, beta)-dominating trees
-    kLowStretchMis,     ///< Algorithm 2, (r, 1)-dominating trees
-    kKConnGreedy,       ///< Algorithm 4, k-connecting (2,0)-dominating trees
-    kKConnMis,          ///< Algorithm 5, k-connecting (2,1)-dominating trees
-    kOlsrMpr,           ///< RFC 3626 multipoint-relay selection (baseline)
-  };
+  /// The dominating tree each node computes over its reconstructed ball.
+  TreeRecipe tree{};
+  /// Run RFC 3626 multipoint-relay selection instead of `tree`: the OLSR
+  /// baseline, the one protocol kind that is not a dominating tree.
+  bool olsr_mpr = false;
 
-  Kind kind = Kind::kKConnGreedy;
-  Dist r = 2;     ///< low-stretch radius (>= 2)
-  Dist beta = 1;  ///< low-stretch slack (greedy only; MIS is beta = 1)
-  Dist k = 1;     ///< connectivity target for the k-connecting kinds
-
-  /// Flooding scope r - 1 + beta; how far neighbor lists and trees travel.
-  /// Equal to the dependency radius max(1, r+beta-1) of the per-root
-  /// computation for every kind (IncrementalConfig::dirty_radius), which is
-  /// what lets the reconvergence driver scope re-advertisement to the dirty
-  /// ball without changing the converged result.
-  [[nodiscard]] Dist flood_scope() const;
+  /// How far neighbor lists and trees travel: the recipe's dependency
+  /// radius r - 1 + beta (TreeRecipe::dirty_radius), exactly the ball the
+  /// local tree build reads, which is also what lets the reconvergence
+  /// driver scope re-advertisement to the dirty ball without changing the
+  /// converged result. 1 for MPR, which reads nothing beyond N(u)'s links.
+  [[nodiscard]] Dist flood_scope() const noexcept { return olsr_mpr ? 1 : tree.dirty_radius(); }
 
   /// Total round budget 2r - 1 + 2 beta claimed by the paper.
   [[nodiscard]] std::uint32_t expected_rounds() const;
@@ -115,7 +108,7 @@ struct RemSpanConfig {
 /// — this is the function that makes "distributed union == centralized
 /// spanner" hold edge-for-edge.
 ///
-/// @param config     Protocol kind and parameters.
+/// @param config     Tree recipe, or the MPR baseline.
 /// @param self       The computing node (global id).
 /// @param neighbors  self's current neighbor list, sorted ascending.
 /// @param lists      origin -> its sorted neighbor list, for every origin

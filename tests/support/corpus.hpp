@@ -86,16 +86,16 @@ inline constexpr Dist kMisRadii[] = {2, 3, 5};
 inline constexpr Dist kGreedyKs[] = {1, 2, 3, 5};
 inline constexpr Dist kMisKs[] = {1, 2, 3};
 
-/// The incremental-maintenance construction sweep: one config per
+/// The incremental-maintenance construction sweep: one recipe per
 /// construction family the dynamic engine supports.
-inline std::vector<IncrementalConfig> incremental_sweep_configs() {
+inline std::vector<TreeRecipe> incremental_sweep_configs() {
   return {
-      IncrementalConfig::k_connecting(1),
-      IncrementalConfig::k_connecting(2),
-      IncrementalConfig::two_connecting(2),
-      IncrementalConfig::r_beta_tree(3, 1, TreeAlgorithm::kGreedy),
-      IncrementalConfig::r_beta_tree(2, 0, TreeAlgorithm::kGreedy),
-      IncrementalConfig::low_stretch(0.5, TreeAlgorithm::kMis),
+      TreeRecipe::k_connecting(1),
+      TreeRecipe::k_connecting(2),
+      TreeRecipe::two_connecting(2),
+      TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy),
+      TreeRecipe::r_beta_tree(2, 0, TreeAlgorithm::kGreedy),
+      TreeRecipe::low_stretch(0.5, TreeAlgorithm::kMis),
   };
 }
 

@@ -1,5 +1,5 @@
 // The public facade: spec grammar round-trips, bad-spec errors, and —
-// the load-bearing guarantee — registry builds bit-exact equal to calling
+// the load-bearing guarantee — facade builds bit-exact equal to calling
 // the underlying constructions directly, for all seven shipped kinds.
 #include <gtest/gtest.h>
 
@@ -110,18 +110,12 @@ TEST(ApiSpec, BadSpecsThrowWithTheOffendingTokenNamed) {
   EXPECT_THROW((void)api::parse_graph_spec("udg?deg=4"), api::SpecError);
   EXPECT_THROW((void)api::parse_graph_spec("file:"), api::SpecError);
   EXPECT_THROW((void)api::parse_graph_spec("udg?n=0"), api::SpecError);
-  // Unknown construction names parse as kCustom (the registry decides) but
-  // fail registry lookup with the name in the message.
-  const api::SpannerSpec custom = api::parse_spanner_spec("th9?x=1");
-  EXPECT_EQ(custom.kind, api::SpannerSpec::Kind::kCustom);
-  Rng rng(3);
-  const Graph g = connected_gnp(30, 0.2, rng);
-  try {
-    (void)api::build_spanner(g, custom);
-    FAIL() << "unregistered construction should throw";
-  } catch (const api::SpecError& e) {
-    EXPECT_NE(std::string(e.what()).find("th9"), std::string::npos);
-  }
+  // Unknown construction names are rejected at parse time, naming the
+  // token and the seven kinds.
+  const std::string unknown = message_of("th9?x=1");
+  EXPECT_NE(unknown.find("th9"), std::string::npos);
+  EXPECT_NE(unknown.find("th1|th2|th3|mpr|greedy|baswana|full"), std::string::npos);
+  EXPECT_THROW((void)api::parse_spanner_spec("my-algo"), api::SpecError);
 }
 
 TEST(ApiSpec, BuildGraphMatchesGeneratorsAndReadsFiles) {
@@ -290,18 +284,17 @@ TEST(ApiSpec, CapabilityMapsMatchTheDynamicAndProtocolConfigs) {
   EXPECT_FALSE(api::supports_protocol(api::parse_spanner_spec("baswana")));
 
   const IncrementalConfig inc = api::incremental_config(api::parse_spanner_spec("th2?k=2"));
-  EXPECT_EQ(inc.construction, IncrementalConfig::Construction::kKConnecting);
-  EXPECT_EQ(inc.k, 2u);
+  EXPECT_EQ(inc.algorithm(), TreeRecipe::Algorithm::kGreedyK);
+  EXPECT_EQ(inc.k(), 2u);
   const IncrementalConfig th1 = api::incremental_config(api::parse_spanner_spec("th1?eps=0.5"));
-  EXPECT_EQ(th1.construction, IncrementalConfig::Construction::kRBetaTree);
-  EXPECT_EQ(th1.r, domination_radius_for_eps(0.5));
-  EXPECT_EQ(th1.algo, TreeAlgorithm::kMis);
+  EXPECT_EQ(th1.algorithm(), TreeRecipe::Algorithm::kMis);
+  EXPECT_EQ(th1.r(), domination_radius_for_eps(0.5));
 
   const RemSpanConfig proto = api::protocol_config(api::parse_spanner_spec("th1?eps=0.25"));
-  EXPECT_EQ(proto.kind, RemSpanConfig::Kind::kLowStretchMis);
-  EXPECT_EQ(proto.r, 5u);
-  EXPECT_EQ(api::protocol_config(api::parse_spanner_spec("mpr")).kind,
-            RemSpanConfig::Kind::kOlsrMpr);
+  EXPECT_FALSE(proto.olsr_mpr);
+  EXPECT_EQ(proto.tree.algorithm(), TreeRecipe::Algorithm::kMis);
+  EXPECT_EQ(proto.tree.r(), 5u);
+  EXPECT_TRUE(api::protocol_config(api::parse_spanner_spec("mpr")).olsr_mpr);
   EXPECT_THROW((void)api::incremental_config(api::parse_spanner_spec("mpr")), api::SpecError);
   EXPECT_THROW((void)api::protocol_config(api::parse_spanner_spec("full")), api::SpecError);
 }
@@ -312,7 +305,7 @@ TEST(ApiSpec, IncrementalSessionTracksTheDirectEngine) {
   const auto session = api::open_incremental_session(g, spec);
   // (edge_list compare: the session maintains its own snapshot copy of g.)
   EXPECT_EQ(session->spanner().edge_list(), build_k_connecting_spanner(g, 1).edge_list());
-  // A mixed batch stays bit-exact vs a from-scratch registry build.
+  // A mixed batch stays bit-exact vs a from-scratch facade build.
   std::vector<GraphEvent> batch;
   const Edge e0 = g.edge(0);
   batch.push_back(GraphEvent::edge_down(e0.u, e0.v));
@@ -322,39 +315,6 @@ TEST(ApiSpec, IncrementalSessionTracksTheDirectEngine) {
   EXPECT_EQ(session->spanner(), api::build_spanner(session->graph(), spec).edges);
   EXPECT_THROW((void)api::open_incremental_session(g, api::parse_spanner_spec("greedy")),
                api::SpecError);
-}
-
-TEST(ApiSpec, RuntimeRegisteredConstructionIsStringAddressable) {
-  // The extension point future constructions use: register once, reachable
-  // from every driver by spec string, parameters included.
-  api::Construction toy;
-  toy.name = "everyother";
-  toy.summary = "keeps every stride-th edge (test construction)";
-  toy.build_edges = [](const Graph& g, const api::SpannerSpec& spec, const api::BuildContext&) {
-    std::size_t stride = 2;
-    if (const auto v = spec.custom_param("stride")) stride = std::stoul(*v);
-    EdgeSet h(g);
-    for (EdgeId id = 0; id < g.num_edges(); id += stride) h.insert(id);
-    return h;
-  };
-  toy.guarantee = [](const api::SpannerSpec&) { return Stretch{0.0, 0.0}; };
-  toy.guarantee_label = [](const api::SpannerSpec&) { return std::string("toy"); };
-  api::ConstructionRegistry::global().register_construction(toy);
-
-  Rng rng(19);
-  const Graph g = connected_gnp(40, 0.15, rng);
-  const auto res = api::build_spanner(g, "everyother?stride=3");
-  std::size_t expected = 0;
-  for (EdgeId id = 0; id < g.num_edges(); id += 3) ++expected;
-  EXPECT_EQ(res.edges.size(), expected);
-  EXPECT_EQ(res.guarantee_label, "toy");
-  EXPECT_EQ(res.verify, nullptr);
-  // Round-trip of the custom spec string.
-  const api::SpannerSpec spec = api::parse_spanner_spec("everyother?stride=3");
-  EXPECT_EQ(spec.to_string(), "everyother?stride=3");
-  EXPECT_EQ(api::parse_spanner_spec(spec.to_string()), spec);
-  // Duplicate registration is rejected.
-  EXPECT_THROW(api::ConstructionRegistry::global().register_construction(toy), api::SpecError);
 }
 
 }  // namespace

@@ -197,8 +197,8 @@ TEST(CApi, SessionErrorPaths) {
   EXPECT_EQ(remspan_session_open(g, "mpr", &session), REMSPAN_ERR_UNSUPPORTED);
   EXPECT_NE(std::string(remspan_last_error()).find("mpr"), std::string::npos);
   EXPECT_EQ(remspan_session_open(g, "th2?bogus=1", &session), REMSPAN_ERR_PARSE);
-  // "th9" parses as a custom spec but is not registered: the registry lookup
-  // must surface as a parse error, not escape the ABI as a C++ exception.
+  // "th9" is no construction: the parse error must surface as a status,
+  // not escape the ABI as a C++ exception.
   EXPECT_EQ(remspan_session_open(g, "th9", &session), REMSPAN_ERR_PARSE);
   EXPECT_NE(std::string(remspan_last_error()).find("th9"), std::string::npos);
   EXPECT_EQ(session, nullptr);

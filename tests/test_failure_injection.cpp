@@ -139,9 +139,7 @@ TEST(TopologyChange, ProtocolConvergesOnNewGraphAfterSwap) {
   for (const Edge& e : delta.removed) swap.push_back(GraphEvent::edge_down(e.u, e.v));
   for (const Edge& e : delta.inserted) swap.push_back(GraphEvent::edge_up(e.u, e.v));
   ASSERT_FALSE(swap.empty());
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-  cfg.k = 1;
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   FaultConfig lossy;
   lossy.link.drop = 0.2;
   lossy.link.seed = 916;

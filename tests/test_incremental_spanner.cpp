@@ -30,7 +30,7 @@ Graph make_family(int family, std::uint64_t seed) {
   return testsupport::churn_family(family, seed);
 }
 
-std::vector<IncrementalConfig> sweep_configs() { return testsupport::incremental_sweep_configs(); }
+std::vector<TreeRecipe> sweep_configs() { return testsupport::incremental_sweep_configs(); }
 
 /// One random batch of events: edge toggles over node pairs biased toward
 /// existing edges, with a sprinkle of node up/down churn.
@@ -59,7 +59,7 @@ std::vector<GraphEvent> random_batch(const DynamicGraph& dg, const Graph& curren
 
 /// From-scratch trees of every root (the oracle for dirty-set and refcount
 /// assertions).
-std::vector<std::vector<Edge>> all_trees(const Graph& g, const IncrementalConfig& cfg) {
+std::vector<std::vector<Edge>> all_trees(const Graph& g, const TreeRecipe& cfg) {
   DomTreeBuilder builder(g);
   std::vector<std::vector<Edge>> trees(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -77,18 +77,18 @@ TEST(IncrementalSpanner, MatchesFromScratchAcrossFamiliesConfigsAndBatches) {
   // >= 100 update batches in total, every one checked bit-exactly.
   std::size_t total_batches = 0;
   for (int family = 0; family < 3; ++family) {
-    for (const IncrementalConfig& cfg : sweep_configs()) {
+    for (const TreeRecipe& cfg : sweep_configs()) {
       for (std::uint64_t seed = 1; seed <= 2; ++seed) {
         Rng rng(1000 * seed + family);
         DynamicGraph dg(make_family(family, seed));
         IncrementalSpanner inc(dg, cfg);
-        EXPECT_EQ(inc.spanner(), cfg.build_full(inc.graph()));
+        EXPECT_EQ(inc.spanner(), cfg.build_spanner(inc.graph()));
         // Varying batch sizes, including empty and single-event batches.
         const std::size_t batch_sizes[] = {1, 0, 4, 13, 2};
         for (const std::size_t size : batch_sizes) {
           const auto batch = random_batch(dg, inc.graph(), size, rng);
           const ChurnBatchStats stats = inc.apply_batch(batch);
-          ASSERT_EQ(inc.spanner(), cfg.build_full(inc.graph()))
+          ASSERT_EQ(inc.spanner(), cfg.build_spanner(inc.graph()))
               << "family " << family << " cfg " << cfg.name() << " seed " << seed
               << " batch size " << size;
           EXPECT_EQ(stats.spanner_edges, inc.spanner().size());
@@ -103,8 +103,8 @@ TEST(IncrementalSpanner, MatchesFromScratchAcrossFamiliesConfigsAndBatches) {
 
 TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
   for (int family = 0; family < 3; ++family) {
-    const IncrementalConfig cfg =
-        family == 1 ? IncrementalConfig::two_connecting(2) : IncrementalConfig::k_connecting(2);
+    const TreeRecipe cfg =
+        family == 1 ? TreeRecipe::two_connecting(2) : TreeRecipe::k_connecting(2);
     Rng rng(77 + family);
     DynamicGraph dg(make_family(family, 5));
     IncrementalSpanner inc(dg, cfg);
@@ -135,7 +135,7 @@ TEST(IncrementalSpanner, DirtySetIsSupersetOfChangedTrees) {
 }
 
 TEST(IncrementalSpanner, RefcountsEqualOwningTreeCounts) {
-  const IncrementalConfig cfg = IncrementalConfig::k_connecting(1);
+  const TreeRecipe cfg = TreeRecipe::k_connecting(1);
   Rng rng(99);
   DynamicGraph dg(make_family(0, 9));
   IncrementalSpanner inc(dg, cfg);
@@ -161,7 +161,7 @@ TEST(IncrementalSpanner, RefcountsEqualOwningTreeCounts) {
 
 TEST(IncrementalSpanner, NoOpAndEmptyBatchesLeaveSpannerUntouched) {
   DynamicGraph dg(make_family(0, 3));
-  IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+  IncrementalSpanner inc(dg, TreeRecipe::k_connecting(1));
   const EdgeSet before = inc.spanner();
   ChurnBatchStats stats = inc.apply_batch({});
   EXPECT_EQ(stats.dirty_roots, 0u);
@@ -206,11 +206,11 @@ TEST(IncrementalSpanner, MaskedEdgeChurnBehindDownNodeIsInvisible) {
   // Storing/removing edges of a DOWN node never touches the live snapshot;
   // the spanner must not change until the node comes back.
   DynamicGraph dg(make_family(2, 4));
-  IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+  IncrementalSpanner inc(dg, TreeRecipe::k_connecting(1));
   const NodeId v = 0;
   std::vector<GraphEvent> batch = {GraphEvent::node_down(v)};
   inc.apply_batch(batch);
-  EXPECT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+  EXPECT_EQ(inc.spanner(), inc.recipe().build_spanner(inc.graph()));
   const EdgeSet masked = inc.spanner();
   // Edge churn incident to the down node: stored-state changes, live no-ops.
   batch = {GraphEvent::edge_up(v, 5), GraphEvent::edge_up(v, 9), GraphEvent::edge_down(v, 5)};
@@ -222,7 +222,7 @@ TEST(IncrementalSpanner, MaskedEdgeChurnBehindDownNodeIsInvisible) {
   batch = {GraphEvent::node_up(v)};
   inc.apply_batch(batch);
   EXPECT_TRUE(inc.graph().has_edge(v, 9));
-  EXPECT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+  EXPECT_EQ(inc.spanner(), inc.recipe().build_spanner(inc.graph()));
 }
 
 TEST(IncrementalSpanner, ChurnTraceReplayStaysEquivalent) {
@@ -236,10 +236,10 @@ TEST(IncrementalSpanner, ChurnTraceReplayStaysEquivalent) {
   };
   for (const ChurnTrace& trace : traces) {
     DynamicGraph dg(trace.initial_graph());
-    IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+    IncrementalSpanner inc(dg, TreeRecipe::k_connecting(1));
     for (const auto& batch : trace.batches) {
       inc.apply_batch(batch);
-      ASSERT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+      ASSERT_EQ(inc.spanner(), inc.recipe().build_spanner(inc.graph()));
     }
   }
 }
@@ -249,8 +249,8 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
   // expansion only in the OLD snapshot (one bounded BFS), and that ball is
   // exactly what the engine marks dirty — still a superset of every
   // changed tree (bit-exactness is asserted on top).
-  for (const IncrementalConfig& cfg :
-       {IncrementalConfig::k_connecting(1), IncrementalConfig::low_stretch(0.5)}) {
+  for (const TreeRecipe& cfg :
+       {TreeRecipe::k_connecting(1), TreeRecipe::low_stretch(0.5)}) {
     Rng rng(17);
     DynamicGraph dg(make_family(0, 6));
     IncrementalSpanner inc(dg, cfg);
@@ -261,7 +261,7 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
       batch.push_back(GraphEvent::edge_down(e.u, e.v));
     }
     inc.apply_batch(batch);
-    ASSERT_EQ(inc.spanner(), cfg.build_full(inc.graph()));
+    ASSERT_EQ(inc.spanner(), cfg.build_spanner(inc.graph()));
 
     // Expected dirty set: ball of the removed endpoints at OLD distances.
     std::vector<NodeId> touched;
@@ -285,7 +285,7 @@ TEST(IncrementalSpanner, RemovalOnlyBatchExpandsOldSnapshotBallOnly) {
 }
 
 TEST(IncrementalSpanner, InsertionOnlyBatchExpandsNewSnapshotBallOnly) {
-  const IncrementalConfig cfg = IncrementalConfig::low_stretch(0.5);
+  const TreeRecipe cfg = TreeRecipe::low_stretch(0.5);
   DynamicGraph dg(make_family(1, 7));
   IncrementalSpanner inc(dg, cfg);
   const NodeId n = dg.num_nodes();
@@ -296,7 +296,7 @@ TEST(IncrementalSpanner, InsertionOnlyBatchExpandsNewSnapshotBallOnly) {
   ASSERT_FALSE(batch.empty());
   inc.apply_batch(batch);
   const auto new_graph = dg.snapshot();
-  ASSERT_EQ(inc.spanner(), cfg.build_full(*new_graph));
+  ASSERT_EQ(inc.spanner(), cfg.build_spanner(*new_graph));
 
   std::vector<NodeId> touched;
   for (const auto& e : batch) {
@@ -321,7 +321,7 @@ TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
   // Pure-removal and pure-insertion batches in alternation (each one takes
   // the single-BFS fast path) keep both core invariants: bit-exactness and
   // dirty-superset-of-changed-trees.
-  const IncrementalConfig cfg = IncrementalConfig::r_beta_tree(3, 1, TreeAlgorithm::kGreedy);
+  const TreeRecipe cfg = TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy);
   Rng rng(23);
   DynamicGraph dg(make_family(2, 11));
   IncrementalSpanner inc(dg, cfg);
@@ -342,7 +342,7 @@ TEST(IncrementalSpanner, AlternatingPureBatchesStayBitExactAndSuperset) {
       parked.clear();
     }
     inc.apply_batch(batch);
-    ASSERT_EQ(inc.spanner(), cfg.build_full(inc.graph())) << "step " << step;
+    ASSERT_EQ(inc.spanner(), cfg.build_spanner(inc.graph())) << "step " << step;
     const auto new_trees = all_trees(inc.graph(), cfg);
     const auto& dirty = inc.last_dirty_roots();
     for (NodeId u = 0; u < dg.num_nodes(); ++u) {
@@ -360,7 +360,7 @@ TEST(IncrementalSpanner, RefcountZeroRemovalSkipWouldBeUnsound) {
   // scans read non-tree edges, and removing one can flip a pick. This test
   // pins a counterexample so the conjecture is not "re-implemented" later:
   // it finds a refcount-0 edge whose removal changes some root's tree.
-  const IncrementalConfig cfg = IncrementalConfig::k_connecting(1);
+  const TreeRecipe cfg = TreeRecipe::k_connecting(1);
   bool counterexample_found = false;
   for (std::uint64_t seed = 1; seed <= 8 && !counterexample_found; ++seed) {
     Rng rng(seed);
@@ -397,13 +397,13 @@ TEST(IncrementalSpanner, NodeChurnAndSlotReuseStayExact) {
   // no extra dirty root — past the last changed edge on any path the rest
   // is common to both graphs, so its endpoint's own ball already covers
   // it — but it does inflate inc.expand_old_nodes.
-  const IncrementalConfig configs[] = {
-      IncrementalConfig::r_beta_tree(3, 1, TreeAlgorithm::kGreedy),
-      IncrementalConfig::low_stretch(0.5, TreeAlgorithm::kMis),
-      IncrementalConfig::k_connecting(2),
-      IncrementalConfig::two_connecting(2),
+  const TreeRecipe configs[] = {
+      TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy),
+      TreeRecipe::low_stretch(0.5, TreeAlgorithm::kMis),
+      TreeRecipe::k_connecting(2),
+      TreeRecipe::two_connecting(2),
   };
-  for (const IncrementalConfig& cfg : configs) {
+  for (const TreeRecipe& cfg : configs) {
     for (int family = 0; family < 3; ++family) {
       Rng rng(500 + family);
       DynamicGraph dg(make_family(family, 12));
@@ -425,7 +425,7 @@ TEST(IncrementalSpanner, NodeChurnAndSlotReuseStayExact) {
           return it == counts.counters.end() ? 0 : it->second;
         };
         const Graph& g = inc.graph();
-        ASSERT_EQ(inc.spanner(), cfg.build_full(g))
+        ASSERT_EQ(inc.spanner(), cfg.build_spanner(g))
             << cfg.name() << " family " << family << " step " << step;
         EXPECT_EQ(stats.spanner_edges, inc.spanner().size());
 
@@ -503,7 +503,7 @@ TEST(IncrementalSpanner, LargeSingleBatchEqualsRebuild) {
   // (most roots go dirty; exercises the remap path under heavy turnover).
   Rng rng(31);
   DynamicGraph dg(make_family(1, 8));
-  IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+  IncrementalSpanner inc(dg, TreeRecipe::k_connecting(1));
   std::vector<GraphEvent> batch;
   const Graph& g = inc.graph();
   for (EdgeId id = 0; id < g.num_edges(); id += 2) {
@@ -511,7 +511,7 @@ TEST(IncrementalSpanner, LargeSingleBatchEqualsRebuild) {
     batch.push_back(GraphEvent::edge_down(e.u, e.v));
   }
   inc.apply_batch(batch);
-  EXPECT_EQ(inc.spanner(), inc.config().build_full(inc.graph()));
+  EXPECT_EQ(inc.spanner(), inc.recipe().build_spanner(inc.graph()));
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
   auto run = [](bool observed) {
     const Graph initial = test_graph(23);
     DynamicGraph dg(initial);
-    IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+    IncrementalSpanner inc(dg, TreeRecipe::k_connecting(1));
     obs::Registry reg;
     obs::TraceBuffer buf;
     std::optional<obs::ScopedSinks> sinks;
@@ -81,9 +81,7 @@ TEST(ObsEquivalence, IncrementalBatchesBitIdenticalWithSinksOn) {
 
 TEST(ObsEquivalence, DistributedProtocolBitIdenticalWithSinksOn) {
   const Graph g = test_graph(37);
-  RemSpanConfig config;
-  config.kind = RemSpanConfig::Kind::kKConnGreedy;
-  config.k = 1;
+  const RemSpanConfig config{TreeRecipe::k_connecting(1)};
   // A lossy channel forces the reliable variant: retransmission, flooding
   // and per-round network hooks all fire.
   FaultConfig faults;
@@ -136,15 +134,13 @@ TEST(ObsEquivalence, SnapshotMatchesGolden) {
     (void)build_low_stretch_remote_spanner(g, 0.5);
 
     DynamicGraph dg(test_graph(23));
-    IncrementalSpanner inc(dg, IncrementalConfig::k_connecting(1));
+    IncrementalSpanner inc(dg, TreeRecipe::k_connecting(1));
     Rng rng(99);
     for (int batch = 0; batch < 10; ++batch) {
       inc.apply_batch(random_edge_events(rng, dg.num_nodes(), 8));
     }
 
-    RemSpanConfig config;
-    config.kind = RemSpanConfig::Kind::kKConnGreedy;
-    config.k = 1;
+    const RemSpanConfig config{TreeRecipe::k_connecting(1)};
     FaultConfig faults;
     faults.link.drop = 0.2;
     faults.link.seed = 5;

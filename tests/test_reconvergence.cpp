@@ -17,29 +17,20 @@
 namespace remspan {
 namespace {
 
-RemSpanConfig make_config(RemSpanConfig::Kind kind, Dist r = 2, Dist beta = 1, Dist k = 1) {
-  RemSpanConfig cfg;
-  cfg.kind = kind;
-  cfg.r = r;
-  cfg.beta = beta;
-  cfg.k = k;
-  return cfg;
-}
-
 /// Centralized construction matching a protocol config — the ground truth
 /// every distributed run must union to.
 EdgeSet centralized(const Graph& g, const RemSpanConfig& cfg) {
-  switch (cfg.kind) {
-    case RemSpanConfig::Kind::kLowStretchGreedy:
-      return build_remote_spanner(g, cfg.r, cfg.beta, TreeAlgorithm::kGreedy);
-    case RemSpanConfig::Kind::kLowStretchMis:
-      return build_remote_spanner(g, cfg.r, 1, TreeAlgorithm::kMis);
-    case RemSpanConfig::Kind::kKConnGreedy:
-      return build_k_connecting_spanner(g, cfg.k);
-    case RemSpanConfig::Kind::kKConnMis:
-      return build_2connecting_spanner(g, cfg.k);
-    case RemSpanConfig::Kind::kOlsrMpr:
-      return olsr_mpr_spanner(g);
+  if (cfg.olsr_mpr) return olsr_mpr_spanner(g);
+  const TreeRecipe& tree = cfg.tree;
+  switch (tree.algorithm()) {
+    case TreeRecipe::Algorithm::kGreedy:
+      return build_remote_spanner(g, tree.r(), tree.beta(), TreeAlgorithm::kGreedy);
+    case TreeRecipe::Algorithm::kMis:
+      return build_remote_spanner(g, tree.r(), 1, TreeAlgorithm::kMis);
+    case TreeRecipe::Algorithm::kGreedyK:
+      return build_k_connecting_spanner(g, tree.k());
+    case TreeRecipe::Algorithm::kMisK:
+      return build_2connecting_spanner(g, tree.k());
   }
   return EdgeSet(g);
 }
@@ -83,26 +74,27 @@ TEST(Reconvergence, IncrementalMatchesRefloodOnRandomChurn) {
   Rng rng(11);
   const Graph g = connected_gnp(48, 0.12, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 6, 5, 0.2, 77);
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnGreedy), "gnp/kconn1");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnMis, 2, 1, 2), "gnp/kconn-mis");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kOlsrMpr), "gnp/mpr");
+  replay_and_compare(trace, RemSpanConfig{TreeRecipe::k_connecting(1)}, "gnp/kconn1");
+  replay_and_compare(trace, RemSpanConfig{TreeRecipe::two_connecting(2)}, "gnp/kconn-mis");
+  replay_and_compare(trace, RemSpanConfig{.olsr_mpr = true}, "gnp/mpr");
 }
 
 TEST(Reconvergence, IncrementalMatchesRefloodOnMobility) {
   Rng rng(12);
   const auto gg = largest_component(uniform_unit_ball_graph(70, 4.0, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(gg, 6, 2, 78);
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnGreedy), "udg/kconn1");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kLowStretchMis, 3), "udg/mis-r3");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kOlsrMpr), "udg/mpr");
+  replay_and_compare(trace, RemSpanConfig{TreeRecipe::k_connecting(1)}, "udg/kconn1");
+  replay_and_compare(trace, RemSpanConfig{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kMis)},
+                     "udg/mis-r3");
+  replay_and_compare(trace, RemSpanConfig{.olsr_mpr = true}, "udg/mpr");
 }
 
 TEST(Reconvergence, IncrementalMatchesRefloodOnRegionOutage) {
   Rng rng(13);
   const auto gg = largest_component(uniform_unit_ball_graph(70, 4.0, 2, rng));
   const ChurnTrace trace = region_outage_trace(gg, 3, 1.2, 79);
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kKConnGreedy), "outage/kconn1");
-  replay_and_compare(trace, make_config(RemSpanConfig::Kind::kLowStretchGreedy, 3, 1),
+  replay_and_compare(trace, RemSpanConfig{TreeRecipe::k_connecting(1)}, "outage/kconn1");
+  replay_and_compare(trace, RemSpanConfig{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy)},
                      "outage/greedy-r3");
 }
 
@@ -111,7 +103,7 @@ TEST(Reconvergence, EmptyBatchCostsNothing) {
   const Graph g = connected_gnp(30, 0.15, rng);
   for (const auto strategy :
        {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
-    ReconvergenceSim sim(g, make_config(RemSpanConfig::Kind::kKConnGreedy), strategy);
+    ReconvergenceSim sim(g, RemSpanConfig{TreeRecipe::k_connecting(1)}, strategy);
     const std::size_t before = sim.spanner().size();
 
     // Literally no events.
@@ -137,7 +129,7 @@ TEST(Reconvergence, RefloodBatchEqualsFreshDistributedRun) {
   // run of Algorithm RemSpan on the new snapshot.
   Rng rng(15);
   const Graph g = connected_gnp(40, 0.12, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   const ChurnTrace trace = random_edge_churn_trace(g, 4, 4, 0.0, 80);
 
   ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kFullReflood);
@@ -159,7 +151,7 @@ TEST(Reconvergence, DeterministicStatsForFixedSeed) {
   Rng rng(16);
   const auto gg = largest_component(uniform_unit_ball_graph(60, 4.0, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(gg, 5, 2, 81);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
 
   for (const auto strategy :
        {ReconvergeStrategy::kIncremental, ReconvergeStrategy::kFullReflood}) {
@@ -186,7 +178,7 @@ TEST(Reconvergence, LocalizedChurnAdvertisesLocally) {
   Rng rng(17);
   const auto gg = largest_component(uniform_unit_ball_graph(150, 7.0, 2, rng));
   const Graph& g = gg.graph;
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
 
   ReconvergenceSim inc(g, cfg, ReconvergeStrategy::kIncremental);
   const Edge e = g.edges()[g.num_edges() / 2];
@@ -204,7 +196,7 @@ TEST(Reconvergence, MprDistributedMatchesCentralizedUnion) {
   // must equal olsr_mpr_spanner on every snapshot.
   Rng rng(18);
   const Graph g = connected_gnp(45, 0.15, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kOlsrMpr);
+  const RemSpanConfig cfg{.olsr_mpr = true};
   EXPECT_EQ(cfg.flood_scope(), 1u);
   EXPECT_EQ(cfg.expected_rounds(), 3u);
 
@@ -220,11 +212,11 @@ TEST(Reconvergence, LosslessRunsStopAtExactlyThePredictedRound) {
   Rng rng(21);
   const Graph g = connected_gnp(40, 0.15, rng);
   const RemSpanConfig configs[] = {
-      make_config(RemSpanConfig::Kind::kKConnGreedy),
-      make_config(RemSpanConfig::Kind::kKConnMis, 2, 1, 2),
-      make_config(RemSpanConfig::Kind::kLowStretchGreedy, 3, 1),
-      make_config(RemSpanConfig::Kind::kLowStretchMis, 3),
-      make_config(RemSpanConfig::Kind::kOlsrMpr),
+      RemSpanConfig{TreeRecipe::k_connecting(1)},
+      RemSpanConfig{TreeRecipe::two_connecting(2)},
+      RemSpanConfig{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy)},
+      RemSpanConfig{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kMis)},
+      RemSpanConfig{.olsr_mpr = true},
   };
   for (const RemSpanConfig& cfg : configs) {
     ASSERT_GT(cfg.round_budget(), cfg.expected_rounds());  // slack, not schedule
@@ -252,7 +244,7 @@ TEST(Reconvergence, NodeOutageAndRecovery) {
   // protocol state must track both transitions exactly.
   Rng rng(19);
   const Graph g = connected_gnp(36, 0.15, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
 
   ReconvergenceSim inc(g, cfg, ReconvergeStrategy::kIncremental);
   ReconvergenceSim ref(g, cfg, ReconvergeStrategy::kFullReflood);

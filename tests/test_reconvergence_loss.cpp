@@ -23,15 +23,6 @@
 namespace remspan {
 namespace {
 
-RemSpanConfig make_config(RemSpanConfig::Kind kind, Dist r = 2, Dist beta = 1, Dist k = 1) {
-  RemSpanConfig cfg;
-  cfg.kind = kind;
-  cfg.r = r;
-  cfg.beta = beta;
-  cfg.k = k;
-  return cfg;
-}
-
 FaultConfig iid_faults(double drop, std::uint32_t delay = 0, std::uint32_t jitter = 0,
                        std::uint64_t seed = 1) {
   FaultConfig f;
@@ -92,11 +83,11 @@ TEST(ReconvergenceLoss, IidLossSweepConvergesBitExactOnThreeFamilies) {
   };
   const FamilyCase families[] = {
       {"gnp", random_edge_churn_trace(gnp, 3, 4, 0.2, 101),
-       make_config(RemSpanConfig::Kind::kKConnGreedy)},
+       RemSpanConfig{TreeRecipe::k_connecting(1)}},
       {"udg", mobility_churn_trace(udg, 3, 2, 102),
-       make_config(RemSpanConfig::Kind::kKConnMis, 2, 1, 2)},
+       RemSpanConfig{TreeRecipe::two_connecting(2)}},
       {"grid", random_edge_churn_trace(grid, 3, 3, 0.0, 103),
-       make_config(RemSpanConfig::Kind::kLowStretchMis, 3)},
+       RemSpanConfig{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kMis)}},
   };
   // p = 0 rides the lossless fast path (faulty() == false) and pins that a
   // zero config changes nothing; the positive rates exercise the reliable
@@ -116,7 +107,7 @@ TEST(ReconvergenceLoss, DelayJitterConvergesBitExact) {
   Rng rng(32);
   const Graph g = connected_gnp(44, 0.13, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 3, 4, 0.2, 104);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   for (const std::uint32_t jitter : {0u, 1u, 3u}) {
     for (const double p : {0.05, 0.2, 0.5}) {
       replay_and_compare_to_lossless(
@@ -130,7 +121,7 @@ TEST(ReconvergenceLoss, GilbertElliottBurstLossConvergesBitExact) {
   Rng rng(33);
   const auto udg = largest_component(uniform_unit_ball_graph(55, 3.6, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(udg, 3, 2, 105);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   for (const auto& [loss, burst] : {std::pair{0.2, 4.0}, std::pair{0.5, 8.0}}) {
     FaultConfig faults;
     faults.link.burst = GilbertElliott::from_loss_and_burst(loss, burst);
@@ -148,7 +139,7 @@ TEST(ReconvergenceLoss, AdversarialPartitionWindowConvergesBitExact) {
   Rng rng(34);
   const Graph g = connected_gnp(40, 0.15, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 3, 4, 0.2, 106);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
 
   FaultConfig faults;
   PartitionWindow window;
@@ -172,7 +163,7 @@ TEST(ReconvergenceLoss, AdversarialKillAndAttritionConvergeBitExact) {
   Rng rng(35);
   const Graph g = connected_gnp(40, 0.15, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 3, 4, 0.2, 107);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
 
   FaultConfig faults;
   faults.link.kills.push_back(FloodKill{0, 0});
@@ -187,7 +178,7 @@ TEST(ReconvergenceLoss, FullRefloodStrategyAlsoConvergesUnderLoss) {
   Rng rng(36);
   const Graph g = connected_gnp(36, 0.15, rng);
   const ChurnTrace trace = random_edge_churn_trace(g, 2, 4, 0.2, 108);
-  replay_and_compare_to_lossless(trace, make_config(RemSpanConfig::Kind::kKConnGreedy),
+  replay_and_compare_to_lossless(trace, RemSpanConfig{TreeRecipe::k_connecting(1)},
                                  iid_faults(0.2, 0, 1, 11), "reflood p=0.2",
                                  ReconvergeStrategy::kFullReflood);
 }
@@ -199,7 +190,7 @@ TEST(ReconvergenceLoss, LossyRunsAreDeterministicForFixedSeed) {
   Rng rng(37);
   const auto udg = largest_component(uniform_unit_ball_graph(50, 3.6, 2, rng));
   const ChurnTrace trace = mobility_churn_trace(udg, 3, 2, 109);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   const FaultConfig faults = iid_faults(0.3, 1, 2, 12);
 
   ReconvergenceSim a(udg.graph, cfg, ReconvergeStrategy::kIncremental, faults);
@@ -230,7 +221,7 @@ TEST(ReconvergenceLoss, LossCostsRoundsNotCorrectness) {
   // different spanner.
   Rng rng(38);
   const Graph g = connected_gnp(40, 0.15, rng);
-  const RemSpanConfig cfg = make_config(RemSpanConfig::Kind::kKConnGreedy);
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
 
   ReconvergenceSim lossless(g, cfg, ReconvergeStrategy::kIncremental);
   ReconvergenceSim lossy(g, cfg, ReconvergeStrategy::kIncremental, iid_faults(0.3, 0, 0, 13));
@@ -257,13 +248,13 @@ TEST(ReconvergenceLoss, DistributedRunUnderLossMatchesLosslessSpanner) {
     RemSpanConfig cfg;
     Pinned at_p05, at_p30;
   } cases[] = {
-      {make_config(RemSpanConfig::Kind::kKConnGreedy),
+      {RemSpanConfig{TreeRecipe::k_connecting(1)},
        {57, 1089, 5668, 6744, 328},
        {109, 1929, 7437, 11841, 3273}},
-      {make_config(RemSpanConfig::Kind::kLowStretchMis, 3),
+      {RemSpanConfig{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kMis)},
        {82, 20888, 115415, 453887, 6265},
        {202, 34231, 141803, 756291, 60397}},
-      {make_config(RemSpanConfig::Kind::kOlsrMpr),
+      {RemSpanConfig{.olsr_mpr = true},
        {58, 1078, 5584, 6449, 322},
        {87, 1560, 6013, 9104, 2603}},
   };
@@ -287,7 +278,7 @@ TEST(ReconvergenceLoss, DistributedRunUnderLossMatchesLosslessSpanner) {
 TEST(ReconvergenceLoss, SessionOpenedBySpecCarriesFaultsAndMeetsGuarantee) {
   // The api layer: loss parameters reach ReconvergenceSim sessions opened
   // by spec string, and the converged post-loss spanner still satisfies the
-  // registry's stretch guarantee under the sampled exact oracle — quality,
+  // facade's stretch guarantee under the sampled exact oracle — quality,
   // not only bit-equality.
   Rng rng(40);
   const auto udg = largest_component(uniform_unit_ball_graph(60, 3.8, 2, rng));

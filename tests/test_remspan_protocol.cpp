@@ -2,11 +2,14 @@
 // centralized construction edge-for-edge, within the paper's round budget.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "analysis/stretch_oracle.hpp"
 #include "core/remote_spanner.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
+#include "sim/reconvergence.hpp"
 #include "sim/remspan_protocol.hpp"
 #include "util/rng.hpp"
 
@@ -34,9 +37,7 @@ TEST(RemSpanProtocol, KConnGreedyMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 500 + static_cast<std::uint64_t>(which));
     for (const Dist k : {1u, 2u}) {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-      cfg.k = k;
+      const RemSpanConfig cfg{TreeRecipe::k_connecting(k)};
       const auto dist = run_remspan_distributed(g, cfg);
       const EdgeSet central = build_k_connecting_spanner(g, k);
       EXPECT_EQ(dist.spanner, central) << "graph=" << which << " k=" << k;
@@ -47,9 +48,7 @@ TEST(RemSpanProtocol, KConnGreedyMatchesCentralized) {
 TEST(RemSpanProtocol, KConnMisMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 600 + static_cast<std::uint64_t>(which));
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kKConnMis;
-    cfg.k = 2;
+    const RemSpanConfig cfg{TreeRecipe::two_connecting(2)};
     const auto dist = run_remspan_distributed(g, cfg);
     const EdgeSet central = build_2connecting_spanner(g, 2);
     EXPECT_EQ(dist.spanner, central) << "graph=" << which;
@@ -60,10 +59,7 @@ TEST(RemSpanProtocol, LowStretchGreedyMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 700 + static_cast<std::uint64_t>(which));
     for (const Dist r : {2u, 3u}) {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;
-      cfg.r = r;
-      cfg.beta = 1;
+      const RemSpanConfig cfg{TreeRecipe::r_beta_tree(r, 1, TreeAlgorithm::kGreedy)};
       const auto dist = run_remspan_distributed(g, cfg);
       const EdgeSet central = build_remote_spanner(g, r, 1, TreeAlgorithm::kGreedy);
       EXPECT_EQ(dist.spanner, central) << "graph=" << which << " r=" << r;
@@ -74,12 +70,48 @@ TEST(RemSpanProtocol, LowStretchGreedyMatchesCentralized) {
 TEST(RemSpanProtocol, LowStretchMisMatchesCentralized) {
   for (int which = 0; which < 4; ++which) {
     const Graph g = test_graph(which, 800 + static_cast<std::uint64_t>(which));
-    RemSpanConfig cfg;
-    cfg.kind = RemSpanConfig::Kind::kLowStretchMis;
-    cfg.r = 3;
+    const RemSpanConfig cfg{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kMis)};
     const auto dist = run_remspan_distributed(g, cfg);
     const EdgeSet central = build_remote_spanner(g, 3, 1, TreeAlgorithm::kMis);
     EXPECT_EQ(dist.spanner, central) << "graph=" << which;
+  }
+}
+
+TEST(RemSpanProtocol, BadTreeParametersAreRejectedBeforeAnyRound) {
+  // r < 2, k < 1 and a MIS tree with beta != 1 are rejected by the recipe
+  // factory that every protocol config is built from, so the failure comes
+  // before any Network exists (`built` stays false), for the one-shot run
+  // and for ReconvergenceSim alike — never from a node's tree compute in
+  // the middle of a run.
+  const Graph g = cycle_graph(12);
+  const std::function<TreeRecipe()> bad[] = {
+      [] { return TreeRecipe::r_beta_tree(1, 1, TreeAlgorithm::kGreedy); },
+      [] { return TreeRecipe::r_beta_tree(1, 1, TreeAlgorithm::kMis); },
+      [] { return TreeRecipe::r_beta_tree(3, 2, TreeAlgorithm::kMis); },
+      [] { return TreeRecipe::r_beta_tree(3, 0, TreeAlgorithm::kMis); },
+      [] { return TreeRecipe::low_stretch(0.0); },
+      [] { return TreeRecipe::k_connecting(0); },
+      [] { return TreeRecipe::two_connecting(0); },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    bool built = false;
+    EXPECT_THROW(
+        {
+          const RemSpanConfig cfg{bad[i]()};
+          built = true;
+          (void)run_remspan_distributed(g, cfg);
+        },
+        CheckError)
+        << "case " << i;
+    EXPECT_THROW(
+        {
+          const RemSpanConfig cfg{bad[i]()};
+          built = true;
+          const ReconvergenceSim sim(g, cfg, ReconvergeStrategy::kIncremental);
+        },
+        CheckError)
+        << "case " << i;
+    EXPECT_FALSE(built) << "case " << i;
   }
 }
 
@@ -88,17 +120,13 @@ TEST(RemSpanProtocol, RoundCountMatchesPaperFormula) {
   for (const NodeId n : {20u, 60u}) {
     const Graph g = cycle_graph(n);
     {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kKConnGreedy;  // r=2, beta=0 -> 3 rounds
+      const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};  // r=2, beta=0 -> 3 rounds
       const auto run = run_remspan_distributed(g, cfg);
       EXPECT_EQ(run.rounds, 3u) << "n=" << n;
       EXPECT_EQ(run.rounds, cfg.expected_rounds());
     }
     {
-      RemSpanConfig cfg;
-      cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;  // 2r-1+2b
-      cfg.r = 4;
-      cfg.beta = 1;
+      const RemSpanConfig cfg{TreeRecipe::r_beta_tree(4, 1, TreeAlgorithm::kGreedy)};  // 2r-1+2b
       const auto run = run_remspan_distributed(g, cfg);
       EXPECT_EQ(run.rounds, 2u * 4u - 1u + 2u) << "n=" << n;
       EXPECT_EQ(run.rounds, cfg.expected_rounds());
@@ -110,10 +138,7 @@ TEST(RemSpanProtocol, TopologyKnowledgeIsLocal) {
   // With scope s, a node must only know neighbor lists of nodes within
   // distance s — the protocol is local, the paper's key selling point.
   const Graph g = path_graph(12);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kLowStretchGreedy;
-  cfg.r = 3;
-  cfg.beta = 1;  // scope 3
+  const RemSpanConfig cfg{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy)};  // scope 3
   Network net(g, [&cfg](NodeId v) { return std::make_unique<RemSpanProtocol>(cfg, v); });
   net.run(cfg.expected_rounds() + 2);
   const auto& p0 = dynamic_cast<const RemSpanProtocol&>(net.node(0));
@@ -130,8 +155,7 @@ TEST(RemSpanProtocol, MessageCountScalesWithScopeTimesN) {
   // budget on a cycle: hello (n) + 2 floods, each forwarded by every node
   // within distance s-1... measured empirically and stable.
   const Graph g = cycle_graph(30);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;  // scope 1: no forwarding
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};  // scope 1: no forwarding
   const auto run = run_remspan_distributed(g, cfg);
   // hello 30 + neighbor lists 30 + trees 30 = 90 transmissions exactly.
   EXPECT_EQ(run.stats.transmissions, 90u);
@@ -139,9 +163,7 @@ TEST(RemSpanProtocol, MessageCountScalesWithScopeTimesN) {
 
 TEST(RemSpanProtocol, StretchOfDistributedResult) {
   const Graph g = test_graph(0, 900);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kLowStretchMis;
-  cfg.r = 3;
+  const RemSpanConfig cfg{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kMis)};
   const auto run = run_remspan_distributed(g, cfg);
   const Stretch s = stretch_for_radius(3);
   EXPECT_TRUE(check_remote_stretch(g, run.spanner, s).satisfied);
@@ -152,9 +174,7 @@ TEST(RemSpanProtocol, RestabilizesAfterTopologyChange) {
   // in OLSR terms): result equals centralized on g2.
   Rng rng(901);
   const Graph g2 = connected_gnp(30, 0.15, rng);
-  RemSpanConfig cfg;
-  cfg.kind = RemSpanConfig::Kind::kKConnGreedy;
-  cfg.k = 1;
+  const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   const auto run2 = run_remspan_distributed(g2, cfg);
   EXPECT_EQ(run2.spanner, build_k_connecting_spanner(g2, 1));
 }
