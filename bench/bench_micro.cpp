@@ -6,7 +6,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <map>
+#include <numbers>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/json_report.hpp"
@@ -19,6 +23,7 @@
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
+#include "graph/graph.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -34,6 +39,46 @@ const Graph& shared_udg() {
   }();
   return g;
 }
+
+/// A shuffled random-UDG edge list of about `edges` edges (mean degree
+/// ~10): the order an ingest path sees edges arrive in.
+struct IngestInput {
+  NodeId n = 0;
+  std::vector<Edge> shuffled;
+};
+
+const IngestInput& ingest_input(std::size_t edges) {
+  static std::map<std::size_t, IngestInput> inputs;
+  auto [it, fresh] = inputs.try_emplace(edges);
+  if (fresh) {
+    const double mean_nodes = static_cast<double>(edges) / 5.0;
+    Rng rng(91);
+    const Graph g =
+        random_unit_disk_graph(std::sqrt(mean_nodes * std::numbers::pi / 10.0), mean_nodes, rng)
+            .graph;
+    it->second.n = g.num_nodes();
+    it->second.shuffled.assign(g.edges().begin(), g.edges().end());
+    rng.shuffle(it->second.shuffled);
+  }
+  return it->second;
+}
+
+void BM_GraphIngest(benchmark::State& state) {
+  const IngestInput& in = ingest_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    GraphBuilder builder(in.n);
+    builder.reserve(in.shuffled.size());
+    for (const Edge& e : in.shuffled) builder.add_edge(e.u, e.v);
+    benchmark::DoNotOptimize(builder.build().num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.shuffled.size()));
+}
+// One edge count below the parallel-CSR threshold (one block on the
+// caller) and one above it (blocks on the pool).
+static_assert(std::size_t{1} << 15 < detail::kParallelCsrEdges &&
+              std::size_t{1} << 20 > detail::kParallelCsrEdges);
+BENCHMARK(BM_GraphIngest)->Arg(1 << 15)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 void BM_BfsFull(benchmark::State& state) {
   const Graph& g = shared_udg();

@@ -1,7 +1,6 @@
 #include "graph/connectivity.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "graph/bfs.hpp"
 #include "graph/disjoint_paths.hpp"
@@ -55,21 +54,25 @@ Graph largest_component(const Graph& g) {
 }
 
 InducedSubgraph induced_subgraph(const Graph& g, const std::vector<NodeId>& keep) {
-  std::unordered_map<NodeId, NodeId> remap;
-  remap.reserve(keep.size());
+  // keep is ascending, so the relabel is monotone: the kept edges, scanned
+  // in g's canonical order, stay canonical under it.
+  std::vector<NodeId> remap(g.num_nodes(), kInvalidNode);
   for (NodeId i = 0; i < keep.size(); ++i) {
     REMSPAN_CHECK(i == 0 || keep[i - 1] < keep[i]);  // sorted & unique
-    remap.emplace(keep[i], i);
+    // An id beyond g has no edges: it stays an isolated node.
+    if (keep[i] < g.num_nodes()) remap[keep[i]] = i;
   }
-  GraphBuilder builder(static_cast<NodeId>(keep.size()));
+  const auto kept = [&remap](const Edge& e) {
+    return remap[e.u] != kInvalidNode && remap[e.v] != kInvalidNode;
+  };
+  // Sized exactly: the list becomes the subgraph's edge list as is.
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(std::ranges::count_if(g.edges(), kept)));
   for (const Edge& e : g.edges()) {
-    const auto iu = remap.find(e.u);
-    const auto iv = remap.find(e.v);
-    if (iu != remap.end() && iv != remap.end()) {
-      builder.add_edge(iu->second, iv->second);
-    }
+    if (kept(e)) edges.push_back(Edge{remap[e.u], remap[e.v]});
   }
-  return InducedSubgraph{builder.build(), keep};
+  return InducedSubgraph{
+      Graph::from_canonical_edges(static_cast<NodeId>(keep.size()), std::move(edges)), keep};
 }
 
 Dist vertex_connectivity(const Graph& g, NodeId s, NodeId t, Dist cap) {

@@ -39,6 +39,23 @@ namespace detail {
 /// every downstream id; this throws CheckError up front instead
 /// (test_graph.cpp pins the failure mode).
 void check_graph_limits(std::size_t nodes, std::size_t edges);
+
+/// Edge count from which GraphBuilder::build() and
+/// Graph::from_canonical_edges run their passes as blocks on
+/// ThreadPool::global(); below it the same passes run as one block on the
+/// calling thread. Measured on a 4-core x86-64 VM (random UDGs of mean
+/// degree 10, median of 7 runs, one block vs blocks on the pool):
+/// from_canonical_edges took 0.43 vs 0.56 ms at 21k edges, 0.89 vs 0.97 ms
+/// at 41k, 2.9 vs 2.0 ms at 84k and 10.4 vs 3.4 ms at 318k; a GraphBuilder
+/// ingest (add_edge loop and build) took 0.95 vs 0.88, 1.8 vs 1.7, 4.8 vs
+/// 2.8 and 29 vs 16 ms. The constructor, which every caller pays, breaks
+/// even between 41k and 84k edges, hence 2^16.
+inline constexpr std::size_t kParallelCsrEdges = std::size_t{1} << 16;
+
+/// Edge blocks the CSR constructor cuts `edges` edges into: 1 below
+/// kParallelCsrEdges, else a few per pool thread. Block b covers
+/// [edges * b / blocks, edges * (b + 1) / blocks).
+[[nodiscard]] std::size_t csr_block_count(std::size_t edges);
 }  // namespace detail
 
 /// Mutable accumulation of edges; build() produces the immutable CSR Graph.
@@ -52,6 +69,15 @@ class GraphBuilder {
   void reserve(std::size_t edges);
   [[nodiscard]] NodeId num_nodes() const noexcept { return num_nodes_; }
 
+  /// Sorts the edges into canonical order, merges duplicates and builds
+  /// the CSR. The edges are cut into blocks and bucketed by the top bits
+  /// of u into the buffer that becomes the Graph's edge list (per-block
+  /// bucket histograms, one prefix sum, a per-block scatter); each bucket
+  /// then radix-sorts on the bits that vary inside it and drops its
+  /// duplicates, and the buckets concatenate in canonical order. At or
+  /// above detail::kParallelCsrEdges edges the blocks and buckets run on
+  /// ThreadPool::global(); below it the same code runs as one block and
+  /// one bucket on the caller. The result is the same either way.
   [[nodiscard]] Graph build() const;
 
  private:
@@ -64,7 +90,18 @@ class Graph {
   Graph() = default;
 
   /// Builds from a canonical, deduplicated, sorted edge list (GraphBuilder
-  /// takes care of that normalization).
+  /// takes care of that normalization); throws CheckError unless every
+  /// edge has u < v < num_nodes and the list strictly ascends. Edge i
+  /// keeps id i, and row x lists x's neighbours below x (edges (w, x),
+  /// ascending w) and then above it (the list's run of edges (x, w)).
+  /// Three passes: per edge block, validate and count edges per bucket of
+  /// their upper end v (node buckets by top bits); per edge block, stage
+  /// each edge as (v, id) in the tail of its bucket's row range; per
+  /// bucket, lay out its rows and fill them in id order, so every row has
+  /// one writer and comes out sorted. Blocks and buckets run on
+  /// ThreadPool::global() from detail::kParallelCsrEdges edges up; below
+  /// it the same code runs as one block and one bucket (which needs no
+  /// staging) on the caller, and the arrays are the same either way.
   static Graph from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges);
 
   [[nodiscard]] NodeId num_nodes() const noexcept {

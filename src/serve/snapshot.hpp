@@ -5,10 +5,12 @@
 // then freezes the result — the versioned CSR snapshot (shared ownership of
 // the same immutable Graph the engine advanced to) plus a copy of the
 // spanner's edge bitset and the batch's build info — into one object
-// published behind an atomic shared_ptr. Readers grab the pointer once and
-// answer any number of queries (contains-edge, spanner extraction, stats,
-// sampled remote stretch) against a perfectly stable world, with no locks
-// and no coordination with the writer rebuilding the next epoch. Old
+// published as a shared_ptr behind a per-tenant mutex, held only for the
+// pointer copy or swap (never while a batch applies). Readers copy the
+// pointer once and answer any number of queries (contains-edge, spanner
+// extraction, stats, sampled remote stretch) against a perfectly stable
+// world, with no further locking and no waiting on the writer rebuilding
+// the next epoch. Old
 // epochs stay fully valid for as long as any reader holds them: the
 // shared_ptr keeps the CSR alive even after the tenant's DynamicGraph has
 // re-materialized many newer snapshots (pinned by the keep-alive

@@ -5,6 +5,17 @@
 
 namespace remspan {
 
+namespace {
+
+/// The pool (and worker id) the current thread serves, if it is a pool
+/// worker. A parallel call a worker makes on its own pool runs inline:
+/// queueing helpers and waiting for them would deadlock once every worker
+/// does the same, since nobody would be left to run the helpers.
+thread_local const ThreadPool* tl_pool = nullptr;
+thread_local std::size_t tl_worker_id = 0;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -24,7 +35,9 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(std::size_t /*worker_id*/) {
+void ThreadPool::worker_loop(std::size_t worker_id) {
+  tl_pool = this;
+  tl_worker_id = worker_id;
   while (true) {
     Task task;
     {
@@ -53,9 +66,10 @@ void ThreadPool::parallel_for_workers(
   // Never enqueue more helpers than there are items beyond the caller's own:
   // surplus helpers would only wake up, fail the fetch_add race, and go back
   // to sleep — pure wakeup/teardown overhead on small inputs.
-  const std::size_t helpers = std::min(workers_.size(), total - 1);
+  const bool nested = tl_pool == this;
+  const std::size_t helpers = nested ? 0 : std::min(workers_.size(), total - 1);
   if (helpers == 0) {
-    const std::size_t caller_id = workers_.size();
+    const std::size_t caller_id = nested ? tl_worker_id : workers_.size();
     for (std::size_t i = begin; i < end; ++i) body(i, caller_id);
     return;
   }

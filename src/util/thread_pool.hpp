@@ -34,14 +34,16 @@ class ThreadPool {
   /// Runs body(i) for every i in [begin, end), distributing dynamically in
   /// chunks, and blocks until all iterations finish. body must be safe to
   /// invoke concurrently from multiple threads. Exceptions from body are
-  /// captured and the first one is rethrown on the caller thread.
+  /// captured and the first one is rethrown on the caller thread. A call
+  /// made from one of this pool's own workers runs inline on that worker,
+  /// so nested parallel code cannot deadlock the pool.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t chunk = 0);
 
   /// Variant receiving (index, worker_id); worker_id < size()+1 indexes
   /// per-thread scratch space (the caller thread participates as the last
-  /// worker id).
+  /// worker id; a nested call keeps the calling worker's own id).
   void parallel_for_workers(std::size_t begin, std::size_t end,
                             const std::function<void(std::size_t, std::size_t)>& body,
                             std::size_t chunk = 0);

@@ -1,10 +1,15 @@
 // Components, induced subgraphs and pairwise vertex connectivity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/edge_set.hpp"
+#include "support/corpus.hpp"
 #include "util/rng.hpp"
 
 namespace remspan {
@@ -83,6 +88,49 @@ TEST(Connectivity, LargestComponentExtraction) {
   const auto sub = induced_subgraph(g, keep);
   EXPECT_TRUE(is_connected(sub.graph));
   EXPECT_EQ(sub.graph.num_nodes(), keep.size());
+}
+
+
+/// The GraphBuilder route induced_subgraph took before its dense remap:
+/// relabel every kept edge and let the builder sort and deduplicate.
+Graph induced_by_builder(const Graph& g, const std::vector<NodeId>& keep) {
+  std::vector<NodeId> remap(g.num_nodes(), kInvalidNode);
+  for (NodeId i = 0; i < keep.size(); ++i) remap[keep[i]] = i;
+  GraphBuilder builder(static_cast<NodeId>(keep.size()));
+  for (const Edge& e : g.edges()) {
+    if (remap[e.u] != kInvalidNode && remap[e.v] != kInvalidNode) {
+      builder.add_edge(remap[e.u], remap[e.v]);
+    }
+  }
+  return builder.build();
+}
+
+TEST(Connectivity, InducedSubgraphMatchesBuilderRouteOnCorpus) {
+  for (int family = 0; family < testsupport::kNumEquivalenceFamilies; ++family) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << "family " << family << " seed " << seed);
+      const Graph g = testsupport::equivalence_family(family, seed);
+      Rng rng(seed * 31 + static_cast<std::uint64_t>(family));
+      std::vector<std::vector<NodeId>> keeps(3);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        keeps[0].push_back(v);
+        if (rng.bernoulli(0.6)) keeps[1].push_back(v);
+        if (v % 3 != 1) keeps[2].push_back(v);
+      }
+      for (const auto& keep : keeps) {
+        const InducedSubgraph sub = induced_subgraph(g, keep);
+        const Graph ref = induced_by_builder(g, keep);
+        EXPECT_EQ(sub.original_id, keep);
+        ASSERT_EQ(sub.graph.num_nodes(), ref.num_nodes());
+        EXPECT_TRUE(std::ranges::equal(sub.graph.edges(), ref.edges()));
+        EXPECT_EQ(sub.graph.max_degree(), ref.max_degree());
+        for (NodeId u = 0; u < ref.num_nodes(); ++u) {
+          EXPECT_TRUE(std::ranges::equal(sub.graph.neighbors(u), ref.neighbors(u)));
+          EXPECT_TRUE(std::ranges::equal(sub.graph.incident_edges(u), ref.incident_edges(u)));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

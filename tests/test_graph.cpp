@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "geom/synthetic.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace remspan {
 namespace {
@@ -128,6 +131,212 @@ TEST(Graph, CompleteGraphEdgeCount) {
       EXPECT_EQ(g.has_edge(u, v), u != v);
     }
   }
+}
+
+
+// --- CsrEquivalence: the blocked CSR constructor against the serial one ---
+
+/// The serial CSR construction the blocked one replaced, ported verbatim
+/// (GraphBuilder::build() and Graph::from_canonical_edges): every case
+/// below demands the library's arrays equal these element for element.
+struct ReferenceCsr {
+  std::vector<Edge> edges;
+  std::vector<std::size_t> offsets;
+  std::vector<NodeId> adj;
+  std::vector<EdgeId> adj_edge_ids;
+  Dist max_degree = 0;
+
+  static ReferenceCsr build(NodeId num_nodes, std::vector<Edge> edges) {
+    for (Edge& e : edges) e = make_edge(e.u, e.v);
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    return from_canonical_edges(num_nodes, std::move(edges));
+  }
+
+  static ReferenceCsr from_canonical_edges(NodeId num_nodes, std::vector<Edge> edges) {
+    ReferenceCsr g;
+    g.edges = std::move(edges);
+    g.offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+    for (std::size_t i = 0; i < g.edges.size(); ++i) {
+      const Edge& e = g.edges[i];
+      ++g.offsets[e.u + 1];
+      ++g.offsets[e.v + 1];
+    }
+    for (std::size_t i = 1; i < g.offsets.size(); ++i) g.offsets[i] += g.offsets[i - 1];
+    g.adj.resize(2 * g.edges.size());
+    g.adj_edge_ids.resize(2 * g.edges.size());
+    std::vector<std::size_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
+    for (EdgeId id = 0; id < g.edges.size(); ++id) {
+      const Edge& e = g.edges[id];
+      g.adj[cursor[e.u]] = e.v;
+      g.adj_edge_ids[cursor[e.u]++] = id;
+      g.adj[cursor[e.v]] = e.u;
+      g.adj_edge_ids[cursor[e.v]++] = id;
+    }
+    for (NodeId u = 0; u < num_nodes; ++u) {
+      g.max_degree = std::max(g.max_degree, static_cast<Dist>(g.offsets[u + 1] - g.offsets[u]));
+    }
+    return g;
+  }
+};
+
+/// Every CSR array of g equals the reference's: the edge list, offsets
+/// (each row's start relative to row 0), the concatenated rows of
+/// neighbours and edge ids, and the maximum degree.
+void expect_same_csr(const Graph& g, const ReferenceCsr& ref) {
+  ASSERT_EQ(g.num_nodes() + std::size_t{1}, ref.offsets.size());
+  ASSERT_EQ(g.num_edges(), ref.edges.size());
+  EXPECT_TRUE(std::equal(g.edges().begin(), g.edges().end(), ref.edges.begin()));
+  EXPECT_EQ(g.max_degree(), ref.max_degree);
+  if (g.num_nodes() == 0) return;
+  const NodeId* const base = g.neighbors(0).data();
+  std::vector<std::size_t> offsets;
+  std::vector<NodeId> adj;
+  std::vector<EdgeId> ids;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    offsets.push_back(static_cast<std::size_t>(g.neighbors(u).data() - base));
+    adj.insert(adj.end(), g.neighbors(u).begin(), g.neighbors(u).end());
+    ids.insert(ids.end(), g.incident_edges(u).begin(), g.incident_edges(u).end());
+  }
+  offsets.push_back(adj.size());
+  EXPECT_EQ(offsets, ref.offsets);
+  EXPECT_EQ(adj, ref.adj);
+  EXPECT_EQ(ids, ref.adj_edge_ids);
+}
+
+/// `m` random pairs over `n` nodes in either orientation, about one in
+/// eight repeated (a shuffled duplicate, sometimes reversed).
+std::vector<Edge> random_pairs(NodeId n, std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> pairs;
+  pairs.reserve(m);
+  while (pairs.size() < m) {
+    if (!pairs.empty() && rng.uniform(8) == 0) {
+      const Edge e = pairs[rng.uniform(pairs.size())];
+      pairs.push_back(rng.bernoulli(0.5) ? Edge{e.v, e.u} : e);
+      continue;
+    }
+    const auto a = static_cast<NodeId>(rng.uniform(n));
+    const auto b = static_cast<NodeId>(rng.uniform(n));
+    if (a != b) pairs.push_back(Edge{a, b});
+  }
+  rng.shuffle(pairs);
+  return pairs;
+}
+
+/// Builds `pairs` through GraphBuilder and, once canonical, through
+/// Graph::from_canonical_edges, and checks both against the reference.
+void expect_builds_match(NodeId n, const std::vector<Edge>& pairs) {
+  GraphBuilder builder(n);
+  for (const Edge& e : pairs) builder.add_edge(e.u, e.v);
+  const ReferenceCsr ref = ReferenceCsr::build(n, pairs);
+  expect_same_csr(builder.build(), ref);
+  expect_same_csr(Graph::from_canonical_edges(n, ref.edges), ref);
+}
+
+constexpr std::size_t kThreshold = detail::kParallelCsrEdges;
+
+TEST(CsrEquivalence, EmptyAndSingleNodeGraphs) {
+  expect_builds_match(0, {});
+  expect_builds_match(1, {});
+  expect_builds_match(2, {Edge{1, 0}});
+}
+
+TEST(CsrEquivalence, RandomPairsStraddlingTheThreshold) {
+  // Degree ~10 at every size; the canonical edge count lands on both
+  // sides of the threshold (duplicates merge away about 1/8 of the pairs).
+  for (const std::size_t pairs : {kThreshold / 16, kThreshold - 1, kThreshold + kThreshold / 2,
+                                  3 * kThreshold}) {
+    const auto n = static_cast<NodeId>(pairs / 5);
+    SCOPED_TRACE(pairs);
+    expect_builds_match(n, random_pairs(n, pairs, 11 + pairs));
+  }
+}
+
+TEST(CsrEquivalence, CanonicalCountsAtTheThreshold) {
+  // Exactly threshold - 1 and threshold canonical edges: the last serial
+  // size and the first blocked one.
+  const NodeId n = 40000;
+  const std::vector<Edge> canonical =
+      ReferenceCsr::build(n, random_pairs(n, 2 * kThreshold, 5)).edges;
+  ASSERT_GT(canonical.size(), kThreshold);
+  for (const std::size_t m : {kThreshold - 1, kThreshold}) {
+    const std::vector<Edge> head(canonical.begin(),
+                                 canonical.begin() + static_cast<std::ptrdiff_t>(m));
+    const ReferenceCsr ref = ReferenceCsr::from_canonical_edges(n, head);
+    expect_same_csr(Graph::from_canonical_edges(n, head), ref);
+  }
+}
+
+TEST(CsrEquivalence, IsolatedNodesAboveTheThreshold) {
+  // Edges only among the even nodes of the lower half: most rows are
+  // empty, and whole node buckets hold no edge at all.
+  const NodeId n = 400000;
+  std::vector<Edge> pairs = random_pairs(n / 4, 2 * kThreshold, 17);
+  for (Edge& e : pairs) e = Edge{2 * e.u, 2 * e.v};
+  expect_builds_match(n, pairs);
+}
+
+TEST(CsrEquivalence, StarHubRowSpansEveryBlock) {
+  // The hub's row is every edge: as the top node its lower part gathers
+  // one edge from every block; as node 0 its upper part is the whole list.
+  const auto n = static_cast<NodeId>(kThreshold + kThreshold / 2);
+  for (const NodeId hub : {NodeId{0}, n - 1, n / 2}) {
+    SCOPED_TRACE(hub);
+    std::vector<Edge> pairs;
+    for (NodeId x = 0; x < n; ++x) {
+      if (x != hub) pairs.push_back(x % 3 == 0 ? Edge{x, hub} : Edge{hub, x});
+    }
+    Rng(hub).shuffle(pairs);
+    expect_builds_match(n, pairs);
+  }
+}
+
+TEST(CsrEquivalence, MalformedInputAboveTheThresholdThrowsOnTheCaller) {
+  const NodeId n = 60000;
+  const std::vector<Edge> canonical =
+      ReferenceCsr::build(n, random_pairs(n, 2 * kThreshold, 23)).edges;
+  ASSERT_GT(canonical.size(), kThreshold);
+  const std::size_t mid = canonical.size() / 2;
+  const auto with = [&](std::size_t at, Edge e) {
+    std::vector<Edge> edges = canonical;
+    edges[at] = e;
+    return edges;
+  };
+  // Unsorted: two neighbours swapped mid-list.
+  std::vector<Edge> unsorted = canonical;
+  std::swap(unsorted[mid], unsorted[mid + 1]);
+  EXPECT_THROW((void)Graph::from_canonical_edges(n, unsorted), CheckError);
+  // Duplicate: an edge repeated, within a block and across the list's end.
+  EXPECT_THROW((void)Graph::from_canonical_edges(n, with(mid + 1, canonical[mid])), CheckError);
+  EXPECT_THROW((void)Graph::from_canonical_edges(n, with(canonical.size() - 1,
+                                                           canonical[canonical.size() - 2])),
+               CheckError);
+  // u >= v, and v out of range.
+  const Edge e = canonical[mid];
+  EXPECT_THROW((void)Graph::from_canonical_edges(n, with(mid, Edge{e.v, e.u})), CheckError);
+  EXPECT_THROW((void)Graph::from_canonical_edges(n, with(mid, Edge{e.u, e.u})), CheckError);
+  EXPECT_THROW(
+      (void)Graph::from_canonical_edges(n, with(canonical.size() - 1, Edge{n - 2, n})),
+      CheckError);
+  // A duplicate straddling each block border: the sortedness check of a
+  // block's first edge reads the previous block's last.
+  const std::size_t blocks = detail::csr_block_count(canonical.size());
+  ASSERT_GT(blocks, 1u);
+  for (std::size_t b = 1; b < blocks; ++b) {
+    const std::size_t border = canonical.size() * b / blocks;
+    EXPECT_THROW((void)Graph::from_canonical_edges(n, with(border, canonical[border - 1])),
+                 CheckError)
+        << "border " << border;
+  }
+  // The pool that ran the failing blocks still runs a clean build.
+  expect_same_csr(Graph::from_canonical_edges(n, canonical),
+                  ReferenceCsr::from_canonical_edges(n, canonical));
+  std::size_t sum = 0;
+  std::vector<std::size_t> hits(64, 0);
+  ThreadPool::global().parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] = i; });
+  for (const std::size_t h : hits) sum += h;
+  EXPECT_EQ(sum, 64u * 63u / 2);
 }
 
 }  // namespace

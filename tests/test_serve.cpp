@@ -412,6 +412,10 @@ TEST(ServeConcurrency, ReadersObserveMonotoneEpochsDuringRebuilds) {
     });
   }
 
+  // The readers must be querying before the rebuilds start: on a loaded
+  // host the writer could otherwise finish before any reader's first query.
+  while (queries.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+
   // Writer: interleaved multi-tenant churn through the admission path.
   std::vector<ChurnTrace> traces;
   for (int t = 0; t < kTenants; ++t) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <set>
 #include <sstream>
 
@@ -466,6 +467,31 @@ TEST(ThreadPool, PropagatesExceptions) {
                                    if (i == 37) throw std::runtime_error("boom");
                                  }),
                std::runtime_error);
+}
+
+// Every pool worker and the caller are held inside one outer parallel_for
+// until all of them have arrived, and then each issues a nested
+// parallel_for on the same pool. Queued helpers for the nested calls would
+// find no free worker, so this hangs unless nested calls run inline (ctest's
+// TIMEOUT on this binary turns a hang into a failure).
+TEST(ThreadPool, NestedParallelForOnBusyPoolCompletes) {
+  ThreadPool pool(3);
+  const std::size_t outer = pool.concurrency();
+  std::latch all_busy(static_cast<std::ptrdiff_t>(outer));
+  std::atomic<std::size_t> inner_hits{0};
+  std::atomic<bool> ids_ok{true};
+  pool.parallel_for_workers(
+      0, outer,
+      [&](std::size_t, std::size_t) {
+        all_busy.arrive_and_wait();
+        pool.parallel_for_workers(0, 100, [&](std::size_t, std::size_t worker) {
+          if (worker >= pool.concurrency()) ids_ok = false;
+          inner_hits.fetch_add(1);
+        });
+      },
+      1);
+  EXPECT_EQ(inner_hits.load(), outer * 100);
+  EXPECT_TRUE(ids_ok.load());
 }
 
 TEST(ThreadPool, EmptyRangeNoop) {
