@@ -9,6 +9,7 @@
 #include <cmath>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <numbers>
 #include <vector>
 
@@ -18,12 +19,14 @@
 #include "baseline/mpr.hpp"
 #include "core/dominating_tree.hpp"
 #include "core/remote_spanner.hpp"
+#include "dynamic/churn_trace.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/bfs.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/graph.hpp"
+#include "sim/reconvergence.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -227,6 +230,59 @@ void BM_DisjointPathsOracle(benchmark::State& state) {
   state.SetLabel("d^2 via min-cost flow, n=" + std::to_string(g.num_nodes()));
 }
 BENCHMARK(BM_DisjointPathsOracle)->Unit(benchmark::kMillisecond);
+
+/// A converged th2?k=1 ReconvergenceSim (incremental strategy, 5% iid loss)
+/// on a 2-D unit ball graph of ~2k nodes (mean degree ~8), plus a mobility
+/// cycle for it: 5 movers per batch, the batches forward and then undone in
+/// reverse, so the cycle repeats forever on the same topologies.
+struct LossyReconvergence {
+  std::unique_ptr<ReconvergenceSim> sim;
+  std::vector<std::vector<GraphEvent>> cycle;
+  std::size_t next = 0;
+};
+
+LossyReconvergence& lossy_reconvergence() {
+  static LossyReconvergence state = [] {
+    Rng rng(29);
+    const GeometricGraph gg = largest_component(uniform_unit_ball_graph(2000, 28.4, 2, rng));
+    const ChurnTrace trace = mobility_churn_trace(gg, 32, 5, 31);
+    LossyReconvergence s;
+    s.cycle = trace.batches;
+    // Mobility batches only flip edges, so a batch's inverse is its events
+    // flipped, in reverse order.
+    for (auto batch = trace.batches.rbegin(); batch != trace.batches.rend(); ++batch) {
+      std::vector<GraphEvent>& undo = s.cycle.emplace_back();
+      for (auto ev = batch->rbegin(); ev != batch->rend(); ++ev) {
+        REMSPAN_CHECK(ev->kind == GraphEventKind::kEdgeUp || ev->kind == GraphEventKind::kEdgeDown);
+        undo.push_back(ev->kind == GraphEventKind::kEdgeUp ? GraphEvent::edge_down(ev->u, ev->v)
+                                                          : GraphEvent::edge_up(ev->u, ev->v));
+      }
+    }
+    FaultConfig faults;
+    faults.link.drop = 0.05;
+    faults.link.seed = 1;
+    s.sim = std::make_unique<ReconvergenceSim>(trace.initial_graph(),
+                                               RemSpanConfig{TreeRecipe::k_connecting(1)},
+                                               ReconvergeStrategy::kIncremental, faults);
+    return s;
+  }();
+  return state;
+}
+
+void BM_ReconvergeLossyEpoch(benchmark::State& state) {
+  // One reconvergence epoch of the protocol under loss: the dirty nodes
+  // re-advertise, every node's receive path takes the HELLOs, lists and
+  // trees (plus retransmitted copies) until the confirmed quiet point.
+  LossyReconvergence& r = lossy_reconvergence();
+  std::int64_t transmissions = 0;
+  for (auto _ : state) {
+    const auto& batch = r.cycle[r.next++ % r.cycle.size()];
+    transmissions += static_cast<std::int64_t>(r.sim->apply_batch(batch).transmissions);
+  }
+  state.SetItemsProcessed(transmissions);
+  state.SetLabel("n=" + std::to_string(r.sim->graph().num_nodes()) + ", items = transmissions");
+}
+BENCHMARK(BM_ReconvergeLossyEpoch)->Unit(benchmark::kMillisecond);
 
 void BM_ObsCounterHot(benchmark::State& state) {
   // Price of one id-indexed counter write with a registry installed — the

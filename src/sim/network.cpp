@@ -11,7 +11,7 @@ NodeId NodeContext::num_network_nodes() const noexcept { return net_->graph().nu
 void NodeContext::broadcast(Message msg) { net_->enqueue_broadcast(id_, std::move(msg)); }
 
 Network::Network(const Graph& g, const ProtocolFactory& factory)
-    : g_(&g), outbox_(g.num_nodes()) {
+    : g_(&g), outbox_(g.num_nodes()), inflight_(g.num_nodes()) {
   protocols_.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) protocols_.push_back(factory(v));
 }
@@ -79,8 +79,9 @@ void Network::step_round() {
   }
   // Receive phase: swap the outboxes first so forwards triggered below
   // enqueue for the *next* round, preserving one-hop-per-round timing.
-  std::vector<std::vector<Message>> inflight(n);
-  inflight.swap(outbox_);
+  // inflight_ was emptied at the end of the previous round and keeps its
+  // per-node capacity.
+  inflight_.swap(outbox_);
   // Copies the link model postponed to this round arrive first (they are
   // older than anything sent this round).
   if (!future_.empty()) {
@@ -92,7 +93,7 @@ void Network::step_round() {
   // broadcast by u reaches every current neighbor of u — per copy, the
   // link model may drop or postpone.
   for (NodeId u = 0; u < n; ++u) {
-    for (const Message& msg : inflight[u]) {
+    for (const Message& msg : inflight_[u]) {
       for (const NodeId v : g_->neighbors(u)) {
         if (link_model_ != nullptr) {
           const LinkDecision d = link_model_->decide(stats_.rounds, u, v, msg);
@@ -109,6 +110,7 @@ void Network::step_round() {
         deliver(v, msg);
       }
     }
+    inflight_[u].clear();
   }
   if (!future_.empty()) cursor_ = (cursor_ + 1) % future_.size();
   if (observing) publish_round_obs(before);
@@ -157,6 +159,7 @@ std::uint32_t Network::run_until_quiescent(std::uint32_t window, std::uint32_t m
   if (link_model_ != nullptr) link_model_->begin_epoch(stats_.rounds);
   std::uint32_t executed = 0;
   std::uint32_t idle = 0;
+  std::uint64_t progress = progress_sum();
   while (executed < max_rounds) {
     if (idle >= window) {
       // A quiet point. Without an oracle it is the stop; with one, stop
@@ -168,10 +171,11 @@ std::uint32_t Network::run_until_quiescent(std::uint32_t window, std::uint32_t m
     // Fast exit for the drained case (every protocol done, channel empty):
     // nothing can ever change again, no need to sit out the window.
     if (all_done() && !has_pending()) break;
-    const std::uint64_t before = progress_sum();
     step_round();
     ++executed;
-    idle = progress_sum() == before ? idle + 1 : 0;
+    const std::uint64_t after = progress_sum();
+    idle = after == progress ? idle + 1 : 0;
+    progress = after;
   }
   return executed;
 }

@@ -191,6 +191,9 @@ class Network {
   std::vector<std::unique_ptr<Protocol>> protocols_;
   // outbox[v]: messages v broadcast this round, delivered next round.
   std::vector<std::vector<Message>> outbox_;
+  // The previous outboxes during a receive phase, empty between rounds;
+  // swapped with outbox_ each round so neither is reallocated.
+  std::vector<std::vector<Message>> inflight_;
   std::unique_ptr<LinkModel> link_model_;
   // Ring buffer of delayed copies: future_[(cursor_ + d) % size] holds the
   // copies due d rounds from the current receive phase. Empty while no

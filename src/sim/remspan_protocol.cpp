@@ -1,8 +1,7 @@
 #include "sim/remspan_protocol.hpp"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
+#include <iterator>
 
 #include "baseline/mpr.hpp"
 #include "graph/bfs.hpp"
@@ -35,6 +34,8 @@ void record_retransmit_obs(NodeId self, std::uint32_t round, std::uint32_t inter
   }
 }
 
+std::vector<NodeId> to_vector(std::span<const NodeId> words) { return {words.begin(), words.end()}; }
+
 }  // namespace
 
 std::uint32_t RemSpanConfig::expected_rounds() const { return 1 + 2 * flood_scope(); }
@@ -55,32 +56,37 @@ const char* RemSpanConfig::kind_name() const noexcept {
 }
 
 std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId self,
-                                           const std::vector<NodeId>& neighbors,
-                                           const std::map<NodeId, std::vector<NodeId>>& lists) {
+                                           std::span<const NodeId> neighbors,
+                                           std::span<const OriginList> lists) {
   // Collect every node id the local view mentions. Ids are compacted
   // monotonically so that every id-based tie-break in DomTreeBuilder and
   // olsr_mpr_set matches the centralized computation on the full graph.
+  std::size_t list_words = neighbors.size();
+  for (const OriginList& l : lists) list_words += l.neighbors.size();
   std::vector<NodeId> known;
+  known.reserve(1 + lists.size() + list_words);
   known.push_back(self);
-  for (const NodeId v : neighbors) known.push_back(v);
-  for (const auto& [origin, list] : lists) {
-    known.push_back(origin);
-    known.insert(known.end(), list.begin(), list.end());
+  known.insert(known.end(), neighbors.begin(), neighbors.end());
+  for (const OriginList& l : lists) {
+    known.push_back(l.origin);
+    known.insert(known.end(), l.neighbors.begin(), l.neighbors.end());
   }
   std::sort(known.begin(), known.end());
   known.erase(std::unique(known.begin(), known.end()), known.end());
-
-  std::unordered_map<NodeId, NodeId> local_id;
-  local_id.reserve(known.size());
-  for (NodeId i = 0; i < known.size(); ++i) local_id.emplace(known[i], i);
+  // `known` is sorted, so a node's rank in it is its monotone local id.
+  const auto local_id = [&known](NodeId v) {
+    return static_cast<NodeId>(std::lower_bound(known.begin(), known.end(), v) - known.begin());
+  };
 
   GraphBuilder builder(static_cast<NodeId>(known.size()));
-  for (const NodeId v : neighbors) builder.add_edge(local_id.at(self), local_id.at(v));
-  for (const auto& [origin, list] : lists) {
-    for (const NodeId v : list) builder.add_edge(local_id.at(origin), local_id.at(v));
+  builder.reserve(list_words);
+  const NodeId root = local_id(self);
+  for (const NodeId v : neighbors) builder.add_edge(root, local_id(v));
+  for (const OriginList& l : lists) {
+    const NodeId origin = local_id(l.origin);
+    for (const NodeId v : l.neighbors) builder.add_edge(origin, local_id(v));
   }
   const Graph local = builder.build();
-  const NodeId root = local_id.at(self);
 
   std::vector<Edge> out;
   if (config.olsr_mpr) {
@@ -98,17 +104,87 @@ std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config, NodeId s
   return out;
 }
 
+bool KnowledgeTable::accept(Stream& stream, std::uint32_t version) noexcept {
+  // Monotone acceptance: delay jitter can deliver version 0 after the
+  // origin already flooded version 1, and retransmissions repeat versions.
+  if (stream.rx_epoch == epoch_ && version <= stream.rx_version) return false;
+  stream.rx_epoch = epoch_;
+  stream.rx_version = version;
+  return true;
+}
+
+KnowledgeTable::Entry& KnowledgeTable::entry(NodeId origin) {
+  const auto it = std::lower_bound(entries_.begin(), entries_.end(), origin,
+                                   [](const Entry& e, NodeId o) { return e.origin < o; });
+  if (it != entries_.end() && it->origin == origin) return *it;
+  Entry fresh;
+  fresh.origin = origin;
+  return *entries_.insert(it, fresh);
+}
+
+const KnowledgeTable::Entry* KnowledgeTable::find(NodeId origin) const noexcept {
+  const auto it = std::lower_bound(entries_.begin(), entries_.end(), origin,
+                                   [](const Entry& e, NodeId o) { return e.origin < o; });
+  return it != entries_.end() && it->origin == origin ? &*it : nullptr;
+}
+
+std::span<std::uint32_t> KnowledgeTable::store(Stream& stream, std::size_t length) {
+  if (stream.length != kAbsent && length <= stream.length) {
+    // Same or smaller content (the common re-advertisement): in place.
+    dead_words_ += stream.length - length;
+    stream.length = static_cast<std::uint32_t>(length);
+    return {words_.data() + stream.offset, length};
+  }
+  if (stream.length != kAbsent) {
+    dead_words_ += stream.length;
+    stream.length = kAbsent;
+  }
+  if (2 * dead_words_ > words_.size()) compact();
+  stream.offset = static_cast<std::uint32_t>(words_.size());
+  stream.length = static_cast<std::uint32_t>(length);
+  words_.resize(words_.size() + length);
+  return {words_.data() + stream.offset, length};
+}
+
+void KnowledgeTable::compact() {
+  std::vector<std::uint32_t> live;
+  live.reserve(words_.size() - dead_words_);
+  for (Entry& e : entries_) {
+    for (Stream* stream : {&e.list, &e.tree}) {
+      if (stream->length == kAbsent) continue;
+      const auto first = words_.begin() + stream->offset;
+      stream->offset = static_cast<std::uint32_t>(live.size());
+      live.insert(live.end(), first, first + stream->length);
+    }
+  }
+  words_ = std::move(live);
+  dead_words_ = 0;
+}
+
+void KnowledgeTable::next_epoch() noexcept {
+  if (++epoch_ != 0) return;
+  // The stamp wrapped: stamps from 2^32 epochs ago would read as current.
+  for (Entry& e : entries_) e.list.rx_epoch = e.tree.rx_epoch = 0;
+  epoch_ = 1;
+}
+
+void KnowledgeTable::clear() noexcept {
+  entries_.clear();
+  words_.clear();
+  dead_words_ = 0;
+}
+
 void RemSpanProtocol::begin_epoch(bool advertise, bool reset_state) {
   if (reset_state) {
-    lists_.clear();
-    trees_.clear();
+    knowledge_.clear();
     tree_edges_.clear();
   }
   // The previous epoch ran to quiescence, so its duplicate-suppression keys
   // can never match again (seqs only grow); keep memory O(live state). The
-  // receive-side version maps empty alongside them and the own streams
-  // restart at version 0.
+  // accepted receive-side versions lapse alongside them and the own streams
+  // restart at version 0. Both resets are O(1) generation bumps.
   flood_.reset_seen();
+  knowledge_.next_epoch();
   advertise_ = advertise;
   round_ = 0;
   computed_ = false;
@@ -116,21 +192,36 @@ void RemSpanProtocol::begin_epoch(bool advertise, bool reset_state) {
   recompute_needed_ = false;
   list_version_ = 0;
   tree_version_ = 0;
-  list_rx_version_.clear();
-  tree_rx_version_.clear();
   retransmit_interval_ = 0;
   next_retransmit_ = 0;
   resend_count_ = 0;
 }
 
-const std::vector<NodeId>* RemSpanProtocol::stored_list(NodeId origin) const {
-  const auto it = lists_.find(origin);
-  return it == lists_.end() ? nullptr : &it->second;
+std::optional<std::span<const NodeId>> RemSpanProtocol::stored_list(NodeId origin) const {
+  const KnowledgeTable::Entry* e = knowledge_.find(origin);
+  return e == nullptr ? std::nullopt : knowledge_.words(e->list);
 }
 
-const std::vector<Edge>* RemSpanProtocol::stored_tree(NodeId origin) const {
-  const auto it = trees_.find(origin);
-  return it == trees_.end() ? nullptr : &it->second;
+bool RemSpanProtocol::holds(NodeId origin, std::span<const NodeId> list,
+                            std::span<const Edge> tree) const {
+  const KnowledgeTable::Entry* e = knowledge_.find(origin);
+  if (e == nullptr) return false;
+  const auto list_words = knowledge_.words(e->list);
+  if (!list_words || !std::ranges::equal(*list_words, list)) return false;
+  const auto tree_words = knowledge_.words(e->tree);
+  if (!tree_words || tree_words->size() != 2 * tree.size()) return false;
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    if ((*tree_words)[2 * i] != tree[i].u || (*tree_words)[2 * i + 1] != tree[i].v) return false;
+  }
+  return true;
+}
+
+std::map<NodeId, std::vector<NodeId>> RemSpanProtocol::topology_knowledge() const {
+  std::map<NodeId, std::vector<NodeId>> out;
+  for (const KnowledgeTable::Entry& e : knowledge_.entries()) {
+    if (const auto list = knowledge_.words(e.list)) out.emplace(e.origin, to_vector(*list));
+  }
+  return out;
 }
 
 void RemSpanProtocol::send_hello(NodeContext& ctx) {
@@ -239,8 +330,8 @@ void RemSpanProtocol::hear_hello(NodeId from) {
   }
 }
 
-std::optional<std::span<const std::uint32_t>> RemSpanProtocol::accept_fresh(
-    NodeContext& ctx, const Message& msg, std::map<NodeId, std::uint32_t>& accepted) {
+std::optional<RemSpanProtocol::Fresh> RemSpanProtocol::accept_fresh(
+    NodeContext& ctx, const Message& msg, KnowledgeTable::Stream KnowledgeTable::Entry::*stream) {
   if (!flood_.accept(ctx, msg)) return std::nullopt;
   std::span<const std::uint32_t> body(msg.payload);
   std::uint32_t version = 0;
@@ -249,14 +340,9 @@ std::optional<std::span<const std::uint32_t>> RemSpanProtocol::accept_fresh(
     version = body.front();
     body = body.subspan(kVersionPrefixWords);
   }
-  // Monotone acceptance: delay jitter can deliver version 0 after the
-  // origin already flooded version 1, and retransmissions repeat versions.
-  const auto [seen, first] = accepted.try_emplace(msg.origin, version);
-  if (!first) {
-    if (version <= seen->second) return std::nullopt;
-    seen->second = version;
-  }
-  return body;
+  KnowledgeTable::Stream& s = knowledge_.entry(msg.origin).*stream;
+  if (!knowledge_.accept(s, version)) return std::nullopt;
+  return Fresh{&s, body};
 }
 
 void RemSpanProtocol::on_message(NodeContext& ctx, const Message& msg) {
@@ -267,22 +353,23 @@ void RemSpanProtocol::on_message(NodeContext& ctx, const Message& msg) {
       if (!driver_sensed_) hear_hello(msg.origin);
       break;
     case kMsgNeighborList: {
-      const auto body = accept_fresh(ctx, msg, list_rx_version_);
-      if (!body) break;
-      lists_[msg.origin].assign(body->begin(), body->end());
+      const auto fresh = accept_fresh(ctx, msg, &KnowledgeTable::Entry::list);
+      if (!fresh) break;
+      std::ranges::copy(fresh->body, knowledge_.store(*fresh->stream, fresh->body.size()).begin());
       ++progress_;
       if (computed_) recompute_needed_ = true;
       break;
     }
     case kMsgTree: {
-      const auto body = accept_fresh(ctx, msg, tree_rx_version_);
-      if (!body) break;
-      std::vector<Edge> edges;
-      edges.reserve(body->size() / 2);
-      for (std::size_t i = 0; i + 1 < body->size(); i += 2) {
-        edges.push_back(make_edge((*body)[i], (*body)[i + 1]));
+      const auto fresh = accept_fresh(ctx, msg, &KnowledgeTable::Entry::tree);
+      if (!fresh) break;
+      const std::span<const std::uint32_t> body = fresh->body;
+      const std::span<std::uint32_t> words = knowledge_.store(*fresh->stream, body.size() / 2 * 2);
+      for (std::size_t i = 0; i + 1 < body.size(); i += 2) {
+        const Edge e = make_edge(body[i], body[i + 1]);
+        words[i] = e.u;
+        words[i + 1] = e.v;
       }
-      trees_[msg.origin] = std::move(edges);
       ++progress_;
       break;
     }
@@ -292,41 +379,55 @@ void RemSpanProtocol::on_message(NodeContext& ctx, const Message& msg) {
 }
 
 std::vector<Edge> RemSpanProtocol::compute_tree() const {
-  if (!driver_sensed_) return compute_local_tree_edges(config_, self_, neighbors_, lists_);
-  // Only the lists the ball walk reaches: stale entries of origins that
-  // left the ball are unreachable from the fresh sensed neighbors, and
-  // under loss the walk tolerates lists still in flight (reconvergence.hpp).
-  std::map<NodeId, std::vector<NodeId>> ball;
-  for (const NodeId v : ball_origins()) {
-    if (const std::vector<NodeId>* list = stored_list(v)) ball.emplace(v, *list);
+  std::vector<OriginList> lists;
+  if (!driver_sensed_) {
+    for (const KnowledgeTable::Entry& e : knowledge_.entries()) {
+      if (const auto list = knowledge_.words(e.list)) lists.push_back({e.origin, *list});
+    }
+  } else {
+    // Only the lists the ball walk reaches: stale entries of origins that
+    // left the ball are unreachable from the fresh sensed neighbors, and
+    // under loss the walk tolerates lists still in flight (reconvergence.hpp).
+    for (const NodeId v : ball_origins()) {
+      if (const auto list = stored_list(v)) lists.push_back({v, *list});
+    }
   }
-  return compute_local_tree_edges(config_, self_, neighbors_, ball);
+  return compute_local_tree_edges(config_, self_, neighbors_, lists);
 }
 
 std::vector<NodeId> RemSpanProtocol::ball_origins() const {
-  std::set<NodeId> reached{self_};
+  std::vector<NodeId> reached{self_};  // sorted
   std::vector<NodeId> frontier{self_};
+  std::vector<NodeId> next;
+  std::vector<NodeId> merged;
   for (Dist d = 0; d < config_.flood_scope() && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
+    next.clear();
     for (const NodeId w : frontier) {
-      const std::vector<NodeId>* nbrs = w == self_ ? &neighbors_ : stored_list(w);
-      if (nbrs == nullptr) continue;  // still in flight
-      for (const NodeId x : *nbrs) {
-        if (reached.insert(x).second) next.push_back(x);
-      }
+      const auto nbrs = w == self_ ? std::optional(std::span<const NodeId>(neighbors_))
+                                   : stored_list(w);
+      if (!nbrs) continue;  // still in flight
+      next.insert(next.end(), nbrs->begin(), nbrs->end());
     }
-    frontier = std::move(next);
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier.clear();
+    std::set_difference(next.begin(), next.end(), reached.begin(), reached.end(),
+                        std::back_inserter(frontier));
+    merged.clear();
+    std::merge(reached.begin(), reached.end(), frontier.begin(), frontier.end(),
+               std::back_inserter(merged));
+    reached.swap(merged);
   }
-  reached.erase(self_);
-  return {reached.begin(), reached.end()};
+  reached.erase(std::lower_bound(reached.begin(), reached.end(), self_));
+  return reached;
 }
 
 std::map<NodeId, std::vector<NodeId>> RemSpanProtocol::ball_lists() const {
   std::map<NodeId, std::vector<NodeId>> out;
   for (const NodeId v : ball_origins()) {
-    const std::vector<NodeId>* list = stored_list(v);
-    REMSPAN_CHECK(list != nullptr);
-    out.emplace(v, *list);
+    const auto list = stored_list(v);
+    REMSPAN_CHECK(list.has_value());
+    out.emplace(v, to_vector(*list));
   }
   return out;
 }
@@ -335,32 +436,30 @@ std::map<NodeId, std::vector<Edge>> RemSpanProtocol::ball_trees() const {
   std::map<NodeId, std::vector<Edge>> out;
   out.emplace(self_, tree_edges_);
   for (const NodeId v : ball_origins()) {
-    const std::vector<Edge>* tree = stored_tree(v);
-    REMSPAN_CHECK(tree != nullptr);
-    out.emplace(v, *tree);
+    const KnowledgeTable::Entry* e = knowledge_.find(v);
+    REMSPAN_CHECK(e != nullptr);
+    const auto tree = knowledge_.words(e->tree);
+    REMSPAN_CHECK(tree.has_value());
+    std::vector<Edge>& edges = out[v];
+    for (std::size_t i = 0; i < tree->size(); i += 2) edges.push_back({(*tree)[i], (*tree)[i + 1]});
   }
   return out;
 }
 
 bool remspan_converged(const Network& net, const RemSpanConfig& config, BoundedBfs& bfs) {
   const Graph& g = net.graph();
-  const auto node = [&net](NodeId v) -> const RemSpanProtocol& {
-    return dynamic_cast<const RemSpanProtocol&>(net.node(v));
-  };
+  std::vector<const RemSpanProtocol*> nodes(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    nodes[v] = &dynamic_cast<const RemSpanProtocol&>(net.node(v));
+  }
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const RemSpanProtocol& pu = node(u);
+    const RemSpanProtocol& pu = *nodes[u];
     if (!pu.settled()) return false;
-    const auto row = g.neighbors(u);
-    const std::vector<NodeId>& sensed = pu.sensed_neighbors();
-    if (!std::equal(sensed.begin(), sensed.end(), row.begin(), row.end())) return false;
+    if (!std::ranges::equal(pu.sensed_neighbors(), g.neighbors(u))) return false;
     bfs.run(GraphView(g), u, config.flood_scope());
     for (const NodeId o : bfs.order()) {
       if (o == u) continue;
-      const RemSpanProtocol& po = node(o);
-      const std::vector<NodeId>* list = pu.stored_list(o);
-      if (list == nullptr || *list != po.sensed_neighbors()) return false;
-      const std::vector<Edge>* tree = pu.stored_tree(o);
-      if (tree == nullptr || *tree != po.tree_edges()) return false;
+      if (!pu.holds(o, nodes[o]->sensed_neighbors(), nodes[o]->tree_edges())) return false;
     }
   }
   return true;

@@ -35,6 +35,7 @@
 // epoch runner (run_remspan_epoch) for both drivers.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
@@ -98,6 +99,12 @@ struct RemSpanConfig {
   [[nodiscard]] const char* kind_name() const noexcept;
 };
 
+/// One origin's received neighbor list, as the local computation reads it.
+struct OriginList {
+  NodeId origin = kInvalidNode;
+  std::span<const NodeId> neighbors;  ///< sorted ascending
+};
+
 /// The node-local computation of the protocol: reconstructs the topology
 /// within the flood scope from `self`'s own (sorted) neighbor list plus the
 /// received per-origin neighbor lists, runs the configured per-root
@@ -111,12 +118,75 @@ struct RemSpanConfig {
 /// @param config     Tree recipe, or the MPR baseline.
 /// @param self       The computing node (global id).
 /// @param neighbors  self's current neighbor list, sorted ascending.
-/// @param lists      origin -> its sorted neighbor list, for every origin
-///                   within the flood scope of self.
+/// @param lists      The sorted neighbor list of every origin within the
+///                   flood scope of self, one entry per origin.
 /// @return           The tree (or MPR star) edges rooted at self.
-[[nodiscard]] std::vector<Edge> compute_local_tree_edges(
-    const RemSpanConfig& config, NodeId self, const std::vector<NodeId>& neighbors,
-    const std::map<NodeId, std::vector<NodeId>>& lists);
+[[nodiscard]] std::vector<Edge> compute_local_tree_edges(const RemSpanConfig& config,
+                                                         NodeId self,
+                                                         std::span<const NodeId> neighbors,
+                                                         std::span<const OriginList> lists);
+
+/// A protocol node's receive state: for every origin it has heard from, the
+/// latest neighbor list and tree, and the content version it accepted per
+/// stream in the current epoch. Entries sit in one vector sorted by origin;
+/// the lists and trees sit back to back in one word buffer, which compacts
+/// when its dead words outnumber its live ones. Accepted versions carry the
+/// epoch they were accepted in, so a new epoch lapses them all in O(1).
+class KnowledgeTable {
+ public:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  /// One stream (neighbor list or tree) of one origin.
+  struct Stream {
+    std::uint32_t offset = 0;        ///< first word in the buffer
+    std::uint32_t length = kAbsent;  ///< words stored; kAbsent before the first store
+    std::uint32_t rx_epoch = 0;      ///< epoch rx_version was accepted in
+    std::uint32_t rx_version = 0;    ///< highest content version accepted in rx_epoch
+  };
+
+  struct Entry {
+    NodeId origin = kInvalidNode;
+    Stream list;  ///< the origin's sorted neighbor list
+    Stream tree;  ///< the origin's tree as (u, v) word pairs with u < v
+  };
+
+  /// Monotone acceptance: records `version` on `stream` and returns true
+  /// when the stream accepted nothing this epoch or `version` is higher.
+  bool accept(Stream& stream, std::uint32_t version) noexcept;
+
+  /// The entry of `origin`, inserted with nothing stored when absent.
+  Entry& entry(NodeId origin);
+  /// The entry of `origin`, or nullptr.
+  [[nodiscard]] const Entry* find(NodeId origin) const noexcept;
+  /// Every entry, ascending by origin.
+  [[nodiscard]] std::span<const Entry> entries() const noexcept { return entries_; }
+
+  /// The stored words of `stream`, nullopt before its first store.
+  [[nodiscard]] std::optional<std::span<const std::uint32_t>> words(
+      const Stream& stream) const noexcept {
+    if (stream.length == kAbsent) return std::nullopt;
+    return std::span<const std::uint32_t>(words_.data() + stream.offset, stream.length);
+  }
+
+  /// Replaces the content of `stream`, one of this table's entries, with
+  /// `length` words for the caller to fill; the span is valid until the
+  /// next store().
+  [[nodiscard]] std::span<std::uint32_t> store(Stream& stream, std::size_t length);
+
+  /// Starts a new epoch: every accepted version lapses.
+  void next_epoch() noexcept;
+  /// Forgets every entry (the full-re-flood strawman's cold start).
+  void clear() noexcept;
+
+ private:
+  /// Copies the live streams into a fresh buffer, in entry order.
+  void compact();
+
+  std::vector<Entry> entries_;          // ascending by origin
+  std::vector<std::uint32_t> words_;    // stream contents, back to back
+  std::size_t dead_words_ = 0;          // words no stream points at
+  std::uint32_t epoch_ = 1;             // rx_epoch 0 = never accepted
+};
 
 class RemSpanProtocol : public Protocol {
  public:
@@ -159,14 +229,16 @@ class RemSpanProtocol : public Protocol {
     return neighbors_;
   }
 
-  /// Every neighbor list this node stored (origin -> list); exposed for
-  /// the locality tests.
-  [[nodiscard]] const std::map<NodeId, std::vector<NodeId>>& topology_knowledge() const noexcept {
-    return lists_;
-  }
-  /// Stored list / tree of `origin`, or nullptr if none arrived.
-  [[nodiscard]] const std::vector<NodeId>* stored_list(NodeId origin) const;
-  [[nodiscard]] const std::vector<Edge>* stored_tree(NodeId origin) const;
+  /// Every neighbor list this node stored (origin -> list), copied out of
+  /// the knowledge table; for the locality tests.
+  [[nodiscard]] std::map<NodeId, std::vector<NodeId>> topology_knowledge() const;
+  /// Stored list of `origin`, or nullopt if none arrived.
+  [[nodiscard]] std::optional<std::span<const NodeId>> stored_list(NodeId origin) const;
+  /// True iff this node stores exactly `list` as `origin`'s neighbor list
+  /// and exactly `tree` as its tree, in order: what remspan_converged asks
+  /// of every ball member, in one table lookup.
+  [[nodiscard]] bool holds(NodeId origin, std::span<const NodeId> list,
+                           std::span<const Edge> tree) const;
 
   /// True once nothing is scheduled locally: passive, or the tree is
   /// computed and no re-advertisement or recompute is pending over the
@@ -178,7 +250,8 @@ class RemSpanProtocol : public Protocol {
   /// The stored lists of the scope-ball around this node (walked over its
   /// stored lists from its sensed neighbors; self excluded) — exactly what
   /// a driver-sensed node's next tree computation reads. Every origin the
-  /// walk reaches must have a stored list (REMSPAN_CHECKed).
+  /// walk reaches must have a stored list (REMSPAN_CHECKed). Copied out of
+  /// the knowledge table; for the tests.
   [[nodiscard]] std::map<NodeId, std::vector<NodeId>> ball_lists() const;
   /// The latest tree per ball origin, with this node's own under `self`.
   [[nodiscard]] std::map<NodeId, std::vector<Edge>> ball_trees() const;
@@ -193,11 +266,17 @@ class RemSpanProtocol : public Protocol {
   /// In-band sensing: records a HELLO sender, re-versioning the list when
   /// the neighbor is new after the round-2 advertisement.
   void hear_hello(NodeId from);
-  /// Flood acceptance plus monotone version acceptance per origin; returns
-  /// the payload without its version word, or nullopt for a duplicate or
+  /// A fresh flood payload: the origin's stream to store it into and the
+  /// payload without its version word.
+  struct Fresh {
+    KnowledgeTable::Stream* stream = nullptr;
+    std::span<const std::uint32_t> body;
+  };
+  /// Flood acceptance plus monotone version acceptance on the origin's
+  /// `stream` (&Entry::list or &Entry::tree); nullopt for a duplicate or
   /// stale copy.
-  std::optional<std::span<const std::uint32_t>> accept_fresh(
-      NodeContext& ctx, const Message& msg, std::map<NodeId, std::uint32_t>& accepted);
+  std::optional<Fresh> accept_fresh(NodeContext& ctx, const Message& msg,
+                                    KnowledgeTable::Stream KnowledgeTable::Entry::*stream);
   [[nodiscard]] std::vector<Edge> compute_tree() const;
   /// Sorted origins reached by a depth-scope walk over the stored lists,
   /// skipping origins whose list has not arrived (self excluded).
@@ -208,10 +287,9 @@ class RemSpanProtocol : public Protocol {
   NodeId self_;
   FloodManager flood_;
   bool driver_sensed_ = false;
-  std::vector<NodeId> neighbors_;                // sorted
-  std::map<NodeId, std::vector<NodeId>> lists_;  // origin -> latest neighbor list
-  std::map<NodeId, std::vector<Edge>> trees_;    // origin -> latest tree
-  std::vector<Edge> tree_edges_;                 // own advertised tree
+  std::vector<NodeId> neighbors_;  // sorted
+  KnowledgeTable knowledge_;       // per origin: latest list and tree, accepted versions
+  std::vector<Edge> tree_edges_;   // own advertised tree
   // Per-epoch schedule: local round, role, compute state.
   std::uint32_t round_ = 0;
   bool advertise_ = true;
@@ -219,14 +297,11 @@ class RemSpanProtocol : public Protocol {
   bool list_dirty_ = false;        // list changed since last advertisement
   bool recompute_needed_ = false;  // tree inputs changed since last compute
   // Quiescence-progress counter (monotone across epochs), content versions
-  // of the own streams, accepted version per origin and stream (monotone
-  // acceptance makes delayed reordered copies harmless), and the
-  // retransmission clock (reliable mode only).
+  // of the own streams, and the retransmission clock (reliable mode only).
+  // The accepted version per origin and stream lives in knowledge_.
   std::uint64_t progress_ = 0;
   std::uint32_t list_version_ = 0;
   std::uint32_t tree_version_ = 0;
-  std::map<NodeId, std::uint32_t> list_rx_version_;
-  std::map<NodeId, std::uint32_t> tree_rx_version_;
   std::uint32_t retransmit_interval_ = 0;
   std::uint32_t next_retransmit_ = 0;
   std::uint32_t resend_count_ = 0;  // feeds the per-node emission jitter

@@ -6,9 +6,12 @@
 
 #include "analysis/stretch_oracle.hpp"
 #include "core/remote_spanner.hpp"
+#include "dynamic/churn_trace.hpp"
 #include "geom/ball_graph.hpp"
 #include "geom/synthetic.hpp"
 #include "graph/connectivity.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/reconvergence.hpp"
 #include "sim/remspan_protocol.hpp"
 #include "util/rng.hpp"
@@ -177,6 +180,76 @@ TEST(RemSpanProtocol, RestabilizesAfterTopologyChange) {
   const RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
   const auto run2 = run_remspan_distributed(g2, cfg);
   EXPECT_EQ(run2.spanner, build_k_connecting_spanner(g2, 1));
+}
+
+/// Every count a seeded lossy reconvergence run produces, summed over the
+/// cold start and every batch.
+struct LossyCounts {
+  std::uint64_t rounds = 0;
+  std::uint64_t transmissions = 0;
+  std::uint64_t receptions = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t flood_accepts = 0;
+  std::uint64_t flood_dups = 0;
+};
+
+LossyCounts run_lossy_mobility(const RemSpanConfig& cfg) {
+  Rng rng(2024);
+  const GeometricGraph gg = largest_component(uniform_unit_ball_graph(150, 7.8, 2, rng));
+  const ChurnTrace trace = mobility_churn_trace(gg, 6, 3, 7);
+  FaultConfig faults;
+  faults.link.drop = 0.1;
+  faults.link.seed = 5;
+  LossyCounts c;
+  obs::Registry reg;
+  {
+    const obs::ScopedSinks sinks(&reg, nullptr);
+    ReconvergenceSim sim(trace.initial_graph(), cfg, ReconvergeStrategy::kIncremental, faults);
+    const auto add = [&c](const ReconvergeBatchStats& s) {
+      c.rounds += s.rounds;
+      c.transmissions += s.transmissions;
+      c.receptions += s.receptions;
+      c.drops += s.drops;
+    };
+    add(sim.initial_stats());
+    for (const auto& batch : trace.batches) add(sim.apply_batch(batch));
+  }
+  const obs::Snapshot snap = reg.snapshot();
+  const auto counter = [&snap](const char* name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  c.retransmissions = counter("sim.retransmissions");
+  c.flood_accepts = counter("sim.flood_accepts");
+  c.flood_dups = counter("sim.flood_dups");
+  return c;
+}
+
+void expect_counts(const LossyCounts& got, const LossyCounts& want, const char* label) {
+  EXPECT_EQ(got.rounds, want.rounds) << label;
+  EXPECT_EQ(got.transmissions, want.transmissions) << label;
+  EXPECT_EQ(got.receptions, want.receptions) << label;
+  EXPECT_EQ(got.drops, want.drops) << label;
+  EXPECT_EQ(got.retransmissions, want.retransmissions) << label;
+  EXPECT_EQ(got.flood_accepts, want.flood_accepts) << label;
+  EXPECT_EQ(got.flood_dups, want.flood_dups) << label;
+}
+
+TEST(RemSpanProtocol, LossyMessageCountsArePinned) {
+  // Every accept, duplicate and stale-copy decision of the receive path
+  // feeds these counts: a rejected fresh copy or an accepted stale one
+  // changes the rounds to quiescence and the retransmissions. Scope 1 never
+  // forwards; scope 2 forwards and suppresses duplicates.
+  const RemSpanConfig scope1{TreeRecipe::k_connecting(1)};  // th2?k=1
+  ASSERT_EQ(scope1.flood_scope(), 1u);
+  expect_counts(run_lossy_mobility(scope1), {437, 9542, 61132, 6713, 3896, 57533, 0}, "scope 1");
+
+  const RemSpanConfig scope2{TreeRecipe::r_beta_tree(2, 1, TreeAlgorithm::kGreedy)};
+  ASSERT_EQ(scope2.flood_scope(), 2u);
+  const LossyCounts c2 = run_lossy_mobility(scope2);
+  EXPECT_GT(c2.flood_dups, 0u);
+  expect_counts(c2, {478, 93153, 687704, 76549, 5495, 203533, 479455}, "scope 2");
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // The synchronous network simulator and flooding primitive.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "geom/synthetic.hpp"
 #include "sim/flooding.hpp"
 #include "sim/network.hpp"
@@ -173,6 +176,95 @@ TEST(Flooding, SeenStateStaysBoundedAcrossEpochs) {
     EXPECT_EQ(fm.seen_size(), 0u) << "epoch " << epoch;
     EXPECT_EQ(fm.next_seq(), expected_seq);  // the counter survives the reset
   }
+}
+
+/// Offers the (origin, seq) flood key to `fm` as a ttl-1 message (never
+/// forwarded); true when it was fresh.
+bool offer(FloodManager& fm, NodeContext& ctx, NodeId origin, std::uint32_t seq) {
+  Message msg;
+  msg.origin = origin;
+  msg.seq = seq;
+  msg.type = 9;
+  msg.ttl = 1;
+  return fm.accept(ctx, msg);
+}
+
+TEST(Flooding, SeenSetKeepsEveryKeyPastItsInitialCapacity) {
+  // The flat set starts small and doubles; every key inserted before a
+  // growth must still be suppressed after it.
+  const Graph g = path_graph(2);
+  Network net(g, [](NodeId) { return std::make_unique<FloodOnce>(1); });
+  NodeContext ctx(net, 1);
+  FloodManager fm;
+  constexpr std::uint32_t kKeys = 5000;
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(offer(fm, ctx, i % 13, i)) << i;
+    ASSERT_FALSE(offer(fm, ctx, i % 13, i)) << i;
+  }
+  EXPECT_EQ(fm.seen_size(), kKeys);
+  for (std::uint32_t i = 0; i < kKeys; ++i) EXPECT_FALSE(offer(fm, ctx, i % 13, i)) << i;
+  EXPECT_EQ(fm.seen_size(), kKeys);
+  EXPECT_EQ(net.stats().transmissions, 0u);  // ttl 1: nothing forwarded
+}
+
+TEST(Flooding, ResetSeenCyclesAreExactAndNeverSuppressOldKeys) {
+  // 1000 epochs of varying size: the count is exact after every reset and
+  // every insert, and a key from an earlier epoch is fresh again.
+  const Graph g = path_graph(2);
+  Network net(g, [](NodeId) { return std::make_unique<FloodOnce>(1); });
+  NodeContext ctx(net, 1);
+  FloodManager fm;
+  std::vector<std::pair<NodeId, std::uint32_t>> previous;
+  std::uint32_t seq = 0;
+  for (int epoch = 0; epoch < 1000; ++epoch) {
+    fm.reset_seen();
+    ASSERT_EQ(fm.seen_size(), 0u) << "epoch " << epoch;
+    std::size_t expected = 0;
+    for (const auto& [origin, old_seq] : previous) {
+      ASSERT_TRUE(offer(fm, ctx, origin, old_seq)) << "epoch " << epoch;
+      ASSERT_EQ(fm.seen_size(), ++expected);
+    }
+    previous.clear();
+    const int fresh = 1 + (epoch * 7) % 97;  // crosses several capacities
+    for (int i = 0; i < fresh; ++i) {
+      const NodeId origin = static_cast<NodeId>(i % 5);
+      ASSERT_TRUE(offer(fm, ctx, origin, seq)) << "epoch " << epoch;
+      ASSERT_FALSE(offer(fm, ctx, origin, seq)) << "epoch " << epoch;
+      ASSERT_EQ(fm.seen_size(), ++expected);
+      previous.emplace_back(origin, seq++);
+    }
+  }
+}
+
+TEST(Flooding, KeysDifferingOnlyInOriginOrOnlyInSeqAreDistinct) {
+  const Graph g = path_graph(2);
+  Network net(g, [](NodeId) { return std::make_unique<FloodOnce>(1); });
+  NodeContext ctx(net, 1);
+  FloodManager fm;
+  // A full grid: every pair of keys differs only in origin, only in seq,
+  // or in both.
+  for (NodeId origin = 0; origin < 40; ++origin) {
+    for (std::uint32_t seq = 0; seq < 40; ++seq) {
+      ASSERT_TRUE(offer(fm, ctx, origin, seq)) << origin << "," << seq;
+    }
+  }
+  EXPECT_EQ(fm.seen_size(), 1600u);
+  for (NodeId origin = 0; origin < 40; ++origin) {
+    for (std::uint32_t seq = 0; seq < 40; ++seq) EXPECT_FALSE(offer(fm, ctx, origin, seq));
+  }
+  // The two halves of the key never alias: (a, b) and (b, a), and the
+  // extreme values of each half.
+  constexpr std::uint32_t kMax = ~std::uint32_t{0};
+  EXPECT_TRUE(offer(fm, ctx, 1000, 2000));
+  EXPECT_TRUE(offer(fm, ctx, 2000, 1000));
+  EXPECT_TRUE(offer(fm, ctx, kMax, 0));
+  EXPECT_TRUE(offer(fm, ctx, 0, kMax));
+  EXPECT_TRUE(offer(fm, ctx, kMax, kMax));
+  EXPECT_TRUE(offer(fm, ctx, kMax - 1, kMax));
+  EXPECT_TRUE(offer(fm, ctx, kMax, kMax - 1));
+  EXPECT_FALSE(offer(fm, ctx, 0, kMax));
+  EXPECT_FALSE(offer(fm, ctx, kMax, 0));
+  EXPECT_EQ(fm.seen_size(), 1607u);
 }
 
 TEST(Network, TopologyChangeDropsInflight) {
