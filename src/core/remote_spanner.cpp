@@ -49,9 +49,7 @@ RootedTree TreeRecipe::build_tree(DomTreeBuilder& builder, NodeId root) const {
 
 EdgeSet TreeRecipe::build_spanner(const Graph& g, SpannerBuildInfo* info,
                                   const ShardConfig& shards) const {
-  return cluster_union_of_trees(
-      g, ball_depth(), [this](DomTreeBuilder& b, NodeId u) { return build_tree(b, u); }, shards,
-      info);
+  return cluster_union_of_trees(g, *this, shards, info);
 }
 
 const char* TreeRecipe::name() const noexcept {

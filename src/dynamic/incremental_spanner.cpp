@@ -75,14 +75,11 @@ void IncrementalSpanner::full_build() {
   // The static engine builds every tree; the visitor keeps what the dirty
   // rebuilds need: each root's tree slots and the per-slot refcounts.
   spanner_ = cluster_union_of_trees(
-      g, recipe_.ball_depth(),
-      [this](DomTreeBuilder& builder, NodeId root) { return recipe_.build_tree(builder, root); },
-      {}, nullptr, [&](NodeId root, const RootedTree& tree, const BallGather& gather) {
+      g, recipe_, {}, nullptr, [&](NodeId root, std::span<const EdgeId> ids) {
         std::vector<EdgeId>& out = trees_[root];
         out.clear();
-        for (const NodeId v : tree.nodes()) {
-          if (v == tree.root()) continue;
-          const EdgeId slot = slot_of_id[gather.global_edge(tree.parent_edge(v))];
+        for (const EdgeId id : ids) {
+          const EdgeId slot = slot_of_id[id];
           out.push_back(slot);
           std::atomic_ref<std::uint32_t>(ref_[slot]).fetch_add(1, std::memory_order_relaxed);
         }
@@ -143,14 +140,10 @@ void IncrementalSpanner::stage_dirty_trees() {
   const ShardConfig shards;
   locality_order(live, dirty_, shards.batch_roots, flag_, order_);
   staged_.resize(order_.size());
-  (void)engine_.build(
-      live, order_, recipe_.ball_depth(),
-      [this](DomTreeBuilder& builder, NodeId root) { return recipe_.build_tree(builder, root); },
-      shards, nullptr,
-      [this](std::size_t i, NodeId /*root*/, const RootedTree& /*tree*/,
-             const BallGather& /*gather*/, std::span<const EdgeId> slots) {
-        staged_[i].assign(slots.begin(), slots.end());
-      });
+  (void)engine_.build(live, order_, recipe_, shards, nullptr,
+                      [this](std::size_t i, NodeId /*root*/, std::span<const EdgeId> slots) {
+                        staged_[i].assign(slots.begin(), slots.end());
+                      });
 }
 
 void IncrementalSpanner::commit(ChurnBatchStats& stats) noexcept {

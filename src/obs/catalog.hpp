@@ -1,8 +1,10 @@
 // The metric catalog: one compile-time row (id, name, kind, unit, help) per
 // metric the library emits. Call sites write by id — obs::add(Metric::
 // kBfsRuns, 1), obs::record(Metric::kDomtreeTreeEdges, e) — so a hot write
-// is an array index, never a string or a map lookup. Names only reappear
-// when Registry::snapshot() folds the cells into a name-keyed Snapshot.
+// is an array index, never a string or a map lookup. An id is the only
+// way to write a metric: there is no name-keyed write path, so every metric
+// the library can emit is a row here. Names only reappear when
+// Registry::snapshot() folds the cells into a name-keyed Snapshot.
 //
 // docs/OBSERVABILITY.md carries the human-facing copy of this table; the
 // obs.catalog_check ctest (tools/check_obs_catalog.sh) fails when the two

@@ -17,11 +17,11 @@ void append_histogram_json(std::string& out, const HistogramSnapshot& h) {
   out += ", \"sum\": " + std::to_string(h.sum);
   out += ", \"buckets\": {";
   bool first = true;
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
     if (h.buckets[i] == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += json_quote(std::to_string(Histogram::bucket_floor(i)));
+    out += json_quote(std::to_string(bucket_floor(i)));
     out += ": " + std::to_string(h.buckets[i]);
   }
   out += "}}";
@@ -50,7 +50,7 @@ Snapshot Snapshot::diff(const Snapshot& earlier) const {
       REMSPAN_CHECK(h.count >= base.count && h.sum >= base.sum);
       d.count -= base.count;
       d.sum -= base.sum;
-      for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+      for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
         REMSPAN_CHECK(h.buckets[i] >= base.buckets[i]);
         d.buckets[i] -= base.buckets[i];
       }
@@ -58,17 +58,6 @@ Snapshot Snapshot::diff(const Snapshot& earlier) const {
     out.histograms.emplace(name, d);
   }
   return out;
-}
-
-void Snapshot::merge(const Snapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) gauges[name] += value;
-  for (const auto& [name, h] : other.histograms) {
-    HistogramSnapshot& mine = histograms[name];
-    mine.count += h.count;
-    mine.sum += h.sum;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) mine.buckets[i] += h.buckets[i];
-  }
 }
 
 std::string Snapshot::to_json() const {
@@ -113,17 +102,10 @@ namespace {
 
 std::atomic<std::uint64_t> g_next_serial{1};
 
-bool is_catalog_name(const std::string& name) {
-  for (const MetricDef& d : kCatalog) {
-    if (d.name == name) return true;
-  }
-  return false;
-}
-
 void add_histogram(HistogramSnapshot& into, const ThreadCells::HistogramCells& h) {
   into.count += h.count.load(std::memory_order_relaxed);
   into.sum += h.sum.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
     into.buckets[i] += h.buckets[i].load(std::memory_order_relaxed);
   }
 }
@@ -147,7 +129,7 @@ ThreadCells& Registry::attach() {
   return *it->second;
 }
 
-std::atomic<std::int64_t>& Registry::gauge_cell(Metric id) {
+std::atomic<std::int64_t>& Registry::written_gauge(Metric id) {
   REMSPAN_CHECK(def(id).kind == Kind::kGauge);
   const std::size_t slot = kSlot[index(id)];
   if (!gauge_written_[slot].load(std::memory_order_relaxed)) {
@@ -157,35 +139,11 @@ std::atomic<std::int64_t>& Registry::gauge_cell(Metric id) {
 }
 
 void Registry::set(Metric id, std::int64_t value) {
-  gauge_cell(id).store(value, std::memory_order_relaxed);
+  written_gauge(id).store(value, std::memory_order_relaxed);
 }
 
 void Registry::add_gauge(Metric id, std::int64_t n) {
-  gauge_cell(id).fetch_add(n, std::memory_order_relaxed);
-}
-
-Counter& Registry::counter(const std::string& name) {
-  REMSPAN_CHECK(!is_catalog_name(name));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  REMSPAN_CHECK(!is_catalog_name(name));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_by_name_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  REMSPAN_CHECK(!is_catalog_name(name));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  written_gauge(id).fetch_add(n, std::memory_order_relaxed);
 }
 
 Snapshot Registry::snapshot() const {
@@ -218,32 +176,7 @@ Snapshot Registry::snapshot() const {
       out.histograms.emplace(d.name, h);
     }
   }
-  for (const auto& [name, c] : counters_) out.counters.emplace(name, c->value());
-  for (const auto& [name, g] : gauges_by_name_) out.gauges.emplace(name, g->value());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot s;
-    s.count = h->count();
-    s.sum = h->sum();
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) s.buckets[i] = h->bucket(i);
-    out.histograms.emplace(name, s);
-  }
   return out;
-}
-
-void Registry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [thread, cells] : slabs_) {
-    for (auto& c : cells->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : cells->histograms) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0, std::memory_order_relaxed);
-    }
-  }
-  for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
-  for (const auto& [name, c] : counters_) c->reset();
-  for (const auto& [name, g] : gauges_by_name_) g->reset();
-  for (const auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace remspan::obs

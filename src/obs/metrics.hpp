@@ -1,6 +1,6 @@
-// The metrics registry: catalog metrics written by id into per-thread
-// cells, ad-hoc named counters, gauges and fixed-bucket histograms for
-// tests, plus point-in-time snapshots that diff, merge and serialize. This
+// The metrics registry: catalog metrics (obs/catalog.hpp) written by id
+// into per-thread cells, plus point-in-time snapshots that diff and
+// serialize. An id is the only way to write a metric. This
 // is the passive half of src/obs — instruments write cells, tools and
 // benches snapshot them; nothing here ever feeds back into computation (the
 // bit-exactness contract of docs/OBSERVABILITY.md).
@@ -40,79 +40,26 @@ class BenchReport;
 
 namespace remspan::obs {
 
-/// Monotone event count (ad-hoc named cell).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+/// Histogram bucket geometry, shared by every catalog histogram: the bucket
+/// index is bit_width(value), so bucket 0 holds exactly 0 and bucket i >= 1
+/// holds [2^(i-1), 2^i). Fixed geometry means two snapshots of one name
+/// always diff bucket by bucket.
+inline constexpr std::size_t kHistogramBuckets = 65;  // bit_width of uint64 is 0..64
 
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
+[[nodiscard]] constexpr std::size_t bucket_index(std::uint64_t value) noexcept {
+  return static_cast<std::size_t>(std::bit_width(value));
+}
 
-/// Signed level that can move both ways (queue depths, live handles).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
-/// Power-of-two bucketed distribution of unsigned samples. Bucket index is
-/// bit_width(value): bucket 0 holds exactly 0, bucket i >= 1 holds
-/// [2^(i-1), 2^i). Fixed geometry means snapshots of the same name always
-/// diff and merge bucket-by-bucket.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;  // bit_width of uint64 is 0..64
-
-  void record(std::uint64_t value) noexcept {
-    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t value) noexcept {
-    return static_cast<std::size_t>(std::bit_width(value));
-  }
-  /// Smallest sample a bucket can hold (its label in serialized snapshots).
-  [[nodiscard]] static constexpr std::uint64_t bucket_floor(std::size_t index) noexcept {
-    return index == 0 ? 0 : std::uint64_t{1} << (index - 1);
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t index) const noexcept {
-    return buckets_[index].load(std::memory_order_relaxed);
-  }
-  void reset() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-};
+/// Smallest sample a bucket can hold (its label in serialized snapshots).
+[[nodiscard]] constexpr std::uint64_t bucket_floor(std::size_t index) noexcept {
+  return index == 0 ? 0 : std::uint64_t{1} << (index - 1);
+}
 
 /// Plain-value copy of one histogram (inside a Snapshot).
 struct HistogramSnapshot {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
-  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
 
   [[nodiscard]] bool operator==(const HistogramSnapshot&) const = default;
 };
@@ -129,10 +76,6 @@ struct Snapshot {
   /// count as zero). Counters and histogram cells are monotone, so a
   /// negative delta means the snapshots are from different runs — checked.
   [[nodiscard]] Snapshot diff(const Snapshot& earlier) const;
-
-  /// Adds `other` into this snapshot (union of keys, cells summed) — the
-  /// aggregation primitive for per-shard or per-run telemetry.
-  void merge(const Snapshot& other);
 
   /// Full snapshot as a JSON document (the --metrics-out /
   /// remspan_metrics_snapshot format; see docs/OBSERVABILITY.md).
@@ -158,10 +101,10 @@ inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
 /// One thread's cells for every catalog counter and histogram, plus a bit
 /// per metric id recording that the thread wrote it (a written metric
 /// appears in snapshots even when its total is zero). Single writer: only
-/// the owning thread writes; snapshot() and reset() read and zero it.
+/// the owning thread writes; snapshot() reads it.
 struct alignas(64) ThreadCells {
   struct HistogramCells {
-    std::array<std::atomic<std::uint64_t>, Histogram::kBuckets> buckets{};
+    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
   };
@@ -180,7 +123,7 @@ struct alignas(64) ThreadCells {
     REMSPAN_CHECK(def(id).kind == Kind::kHistogram);
     mark(id);
     HistogramCells& h = histograms[kSlot[index(id)]];
-    detail::bump(h.buckets[Histogram::bucket_index(value)], 1);
+    detail::bump(h.buckets[bucket_index(value)], 1);
     detail::bump(h.count, 1);
     detail::bump(h.sum, value);
   }
@@ -212,10 +155,8 @@ inline constinit thread_local SlabRef t_slab{};
 
 }  // namespace detail
 
-/// Metric registry. Catalog metrics are written by id through add(),
-/// record(), set() and add_gauge(); the name-keyed counter()/gauge()/
-/// histogram() accessors serve ad-hoc cells in tests (a catalog name is
-/// rejected there) and keep stable addresses for the registry's lifetime.
+/// Metric registry. Every metric is a catalog row, written by id through
+/// add(), record(), set() and add_gauge(); names appear only in snapshots.
 class Registry {
  public:
   Registry();
@@ -236,32 +177,21 @@ class Registry {
   void set(Metric id, std::int64_t value);
   void add_gauge(Metric id, std::int64_t n);
 
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
-  [[nodiscard]] Histogram& histogram(const std::string& name);
-
   /// Sums every thread's cells in catalog order into a name-keyed
-  /// Snapshot, together with the ad-hoc cells. A metric appears once it
-  /// has been written (with any value, zero included).
+  /// Snapshot. A metric appears once it has been written (with any value,
+  /// zero included).
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zeroes every cell of every slab, gauge and ad-hoc instrument; the set
-  /// of written names is kept (ad-hoc addresses stay valid). Call it while
-  /// no write is in flight: a concurrent write may land on either side.
-  void reset();
 
  private:
   ThreadCells& attach();
-  std::atomic<std::int64_t>& gauge_cell(Metric id);
+  /// The gauge's one shared cell, marked written (a kind mismatch throws).
+  std::atomic<std::int64_t>& written_gauge(Metric id);
 
   const std::uint64_t serial_;
   mutable std::mutex mutex_;
   std::vector<std::pair<std::thread::id, std::unique_ptr<ThreadCells>>> slabs_;
   std::array<std::atomic<std::int64_t>, kNumGauges> gauges_{};
   std::array<std::atomic<bool>, kNumGauges> gauge_written_{};
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_by_name_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace remspan::obs

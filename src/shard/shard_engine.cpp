@@ -4,7 +4,7 @@
 
 namespace remspan {
 
-EdgeSet cluster_union_of_trees(const Graph& g, Dist ball_depth, const MakeTree& make_tree,
+EdgeSet cluster_union_of_trees(const Graph& g, const TreeRecipe& recipe,
                                const ShardConfig& config, SpannerBuildInfo* info,
                                const TreeVisitor& visit) {
   obs::PhaseSpan span("core.union_of_trees");
@@ -16,12 +16,11 @@ EdgeSet cluster_union_of_trees(const Graph& g, Dist ball_depth, const MakeTree& 
       locality_root_order(g, std::max<std::size_t>(1, config.batch_roots));
   AtomicBitset shared(g.num_edges());
   ClusterEngine engine;
-  const ClusterTallies total = engine.build(
-      GraphView(g), order, ball_depth, make_tree, config, &shared,
-      [&visit](std::size_t /*i*/, NodeId root, const RootedTree& tree, const BallGather& gather,
-               std::span<const EdgeId> /*ids*/) {
-        if (visit) visit(root, tree, gather);
-      });
+  const ClusterTallies total =
+      engine.build(GraphView(g), order, recipe, config, &shared,
+                   [&visit](std::size_t /*i*/, NodeId root, std::span<const EdgeId> ids) {
+                     if (visit) visit(root, ids);
+                   });
   EdgeSet spanner(g, shared.snapshot());
 
   if (info != nullptr) {

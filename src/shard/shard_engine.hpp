@@ -1,19 +1,21 @@
 // The spanner build engine behind every union-of-trees construction: the
 // four front-ends of core/remote_spanner.hpp, IncrementalSpanner's full
 // build and its dirty-root rebuilds all run through ClusterEngine::build.
+// Each build takes one TreeRecipe (core/remote_spanner.hpp): the per-root
+// tree algorithm together with the ball depth it reads.
 //
 // Roots are taken in a locality order (shard_plan.hpp) and cut into
 // clusters of batch_roots consecutive roots. ThreadPool::global() workers
 // claim whole clusters dynamically, one at a time; for each cluster a
 // worker
-//   1. scouts the union ball of the cluster's roots to `ball_depth`
-//      (BallScout),
+//   1. scouts the union ball of the cluster's roots to the recipe's
+//      ball_depth() (BallScout),
 //   2. gathers its induced subgraph into a compact local CSR (BallGather),
-//   3. builds every root's tree with a DomTreeBuilder bound to that
-//      cache-resident local graph, and
+//   3. builds every root's tree with recipe.build_tree on a DomTreeBuilder
+//      bound to that cache-resident local graph, and
 //   4. translates each tree's parent edges to the view's edge ids and hands
-//      them to the caller — for a static build, ORed into one shared
-//      AtomicBitset (word-batched relaxed fetch_or).
+//      only those ids to the caller — for a static build, also ORed into
+//      one shared AtomicBitset (word-batched relaxed fetch_or).
 // The graph is read through any EdgeNeighborView: the CSR Graph for static
 // and full builds, DynamicGraph's LiveView (slots as ids) for the
 // incremental rebuilds of a root subset. Scout and gather scratch is O(n)
@@ -48,17 +50,11 @@
 
 namespace remspan {
 
-/// Builds the tree of a root given as a LOCAL id of the builder's graph.
-/// The per-algorithm lambdas work unchanged on a gathered subgraph because
-/// the gather preserves every id tie-break (order isomorphism).
-using MakeTree = std::function<RootedTree(DomTreeBuilder&, NodeId)>;
-
-/// Observes one built tree: `root` is its global id, `tree` is expressed in
-/// the local ids of gather.local() (translate with gather.global_id and
-/// gather.global_edge). Called once per root, concurrently from pool
-/// workers, so it must be safe for distinct roots in parallel.
-using TreeVisitor =
-    std::function<void(NodeId root, const RootedTree& tree, const BallGather& gather)>;
+/// Observes one built tree of cluster_union_of_trees: `root` is its global
+/// id and `ids` are its parent edges as the graph's edge ids, in the order
+/// the tree attached their child nodes. Called once per root, concurrently
+/// from pool workers, so it must be safe for distinct roots in parallel.
+using TreeVisitor = std::function<void(NodeId root, std::span<const EdgeId> ids)>;
 
 /// Per-build tallies, bumped single-threaded by one worker and reduced
 /// after the join barrier.
@@ -85,17 +81,17 @@ struct ClusterTallies {
 /// O(n) scout and gather arrays allocated.
 class ClusterEngine {
  public:
-  /// Builds the tree of every root in `order`, cut into clusters of
-  /// config.batch_roots consecutive roots. For each tree, on_tree(i, root,
-  /// tree, gather, ids) receives the root's position i in `order` and the
-  /// tree's edges as the view's edge ids; it runs concurrently for distinct
-  /// roots. A non-null `shared` also gets every tree's ids ORed in. If
-  /// make_tree or on_tree throws, the remaining clusters are abandoned and
-  /// the first exception is rethrown on the caller.
+  /// Builds recipe's tree of every root in `order`, cut into clusters of
+  /// config.batch_roots consecutive roots each gathered to
+  /// recipe.ball_depth(). For each tree, on_tree(i, root, ids) receives
+  /// the root's position i in `order` and the tree's edges as the view's
+  /// edge ids; it runs concurrently for distinct roots. A non-null `shared`
+  /// also gets every tree's ids ORed in. If a tree build or on_tree throws,
+  /// the remaining clusters are abandoned and the first exception is
+  /// rethrown on the caller; the engine stays usable for the next build.
   template <EdgeNeighborView View, typename OnTree>
-  ClusterTallies build(const View& view, std::span<const NodeId> order, Dist ball_depth,
-                       const MakeTree& make_tree, const ShardConfig& config,
-                       AtomicBitset* shared, OnTree&& on_tree);
+  ClusterTallies build(const View& view, std::span<const NodeId> order, const TreeRecipe& recipe,
+                       const ShardConfig& config, AtomicBitset* shared, OnTree&& on_tree);
 
  private:
   /// One pool worker's O(n) scratch plus its tallies.
@@ -114,9 +110,8 @@ class ClusterEngine {
 
 template <EdgeNeighborView View, typename OnTree>
 ClusterTallies ClusterEngine::build(const View& view, std::span<const NodeId> order,
-                                    Dist ball_depth, const MakeTree& make_tree,
-                                    const ShardConfig& config, AtomicBitset* shared,
-                                    OnTree&& on_tree) {
+                                    const TreeRecipe& recipe, const ShardConfig& config,
+                                    AtomicBitset* shared, OnTree&& on_tree) {
   ThreadPool& pool = ThreadPool::global();
   const std::size_t cap = config.num_shards == 0 ? pool.concurrency() : config.num_shards;
   if (n_ != view.num_nodes() || states_.size() != pool.concurrency()) {
@@ -134,7 +129,7 @@ ClusterTallies ClusterEngine::build(const View& view, std::span<const NodeId> or
   const auto build_cluster = [&](std::size_t first, WorkerState& ws) {
     const std::span<const NodeId> cluster =
         order.subspan(first, std::min(batch, order.size() - first));
-    ws.scout.run(view, cluster, ball_depth);
+    ws.scout.run(view, cluster, recipe.ball_depth());
     ws.gather.gather(view, ws.scout.touched());
     // The builder's scratch is sized by the LOCAL node count, so building
     // it per cluster costs O(|union ball|) rather than O(n).
@@ -145,7 +140,7 @@ ClusterTallies ClusterEngine::build(const View& view, std::span<const NodeId> or
     t.gather_edges += ws.gather.local().num_edges();
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       const NodeId root = cluster[i];
-      const RootedTree tree = make_tree(builder, ws.gather.local_id(root));
+      const RootedTree tree = recipe.build_tree(builder, ws.gather.local_id(root));
       ws.ids.clear();
       for (const NodeId v : tree.nodes()) {
         if (v == tree.root()) continue;
@@ -157,7 +152,7 @@ ClusterTallies ClusterEngine::build(const View& view, std::span<const NodeId> or
       }
       t.sum_tree_edges += ws.ids.size();
       t.max_tree_edges = std::max(t.max_tree_edges, ws.ids.size());
-      on_tree(first + i, root, tree, ws.gather, std::span<const EdgeId>(ws.ids));
+      on_tree(first + i, root, std::span<const EdgeId>(ws.ids));
       // One tree's bits merge into plain masks first: one atomic RMW per
       // touched word keeps contention off the hot loop.
       if (shared != nullptr) t.words_ord += shared->or_batch(ws.ids);
@@ -198,13 +193,11 @@ ClusterTallies ClusterEngine::build(const View& view, std::span<const NodeId> or
   return total;
 }
 
-/// Union of make_tree's trees over every root of `g`. `ball_depth` must
-/// cover the deepest node the tree algorithm can touch (max(r, r-1+beta)
-/// for the (r, beta) trees, 2 for the k-connecting ones). If make_tree or
-/// visit throws, the remaining clusters are abandoned and the first
-/// exception is rethrown on the caller.
-[[nodiscard]] EdgeSet cluster_union_of_trees(const Graph& g, Dist ball_depth,
-                                             const MakeTree& make_tree,
+/// Union of recipe's trees over every root of `g`; `visit`, when set, sees
+/// each tree's edge ids. If a tree build or visit throws, the remaining
+/// clusters are abandoned and the first exception is rethrown on the
+/// caller.
+[[nodiscard]] EdgeSet cluster_union_of_trees(const Graph& g, const TreeRecipe& recipe,
                                              const ShardConfig& config = {},
                                              SpannerBuildInfo* info = nullptr,
                                              const TreeVisitor& visit = nullptr);

@@ -1,12 +1,11 @@
-// The observability subsystem (src/obs): instrument semantics, snapshot
-// algebra (diff/merge), serialization, the trace ring buffer, the sink hub,
-// the per-thread cells behind catalog ids, and — the part TSan is pointed
-// at — one registry hammered from every thread-pool worker with exact
-// conservation: counters sum exactly, histogram totals (count, sum,
-// per-bucket) are conserved.
+// The observability subsystem (src/obs): histogram bucket geometry,
+// snapshot algebra (diff), serialization, the trace ring buffer, the sink
+// hub, the per-thread cells behind catalog ids, and — the part TSan is
+// pointed at — one registry's catalog cells hammered from every thread-pool
+// worker with exact conservation: counters sum exactly, histogram totals
+// (count, sum, per-bucket) are conserved.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,80 +21,59 @@
 namespace remspan {
 namespace {
 
-// --- instruments ---------------------------------------------------------
+using obs::Metric;
 
-TEST(ObsMetrics, CounterAndGaugeBasics) {
-  obs::Registry reg;
-  obs::Counter& c = reg.counter("c");
-  EXPECT_EQ(&c, &reg.counter("c"));  // find-or-create: stable address
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-
-  obs::Gauge& g = reg.gauge("g");
-  g.set(-7);
-  g.add(10);
-  EXPECT_EQ(g.value(), 3);
-}
+// --- histogram geometry --------------------------------------------------
 
 TEST(ObsMetrics, HistogramBucketGeometry) {
   // bucket_index is bit_width: bucket 0 holds exactly 0, bucket i >= 1
   // holds [2^(i-1), 2^i).
-  EXPECT_EQ(obs::Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_index(~std::uint64_t{0}), 64u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_floor(3), 4u);
+  EXPECT_EQ(obs::bucket_index(0), 0u);
+  EXPECT_EQ(obs::bucket_index(1), 1u);
+  EXPECT_EQ(obs::bucket_index(2), 2u);
+  EXPECT_EQ(obs::bucket_index(3), 2u);
+  EXPECT_EQ(obs::bucket_index(4), 3u);
+  EXPECT_EQ(obs::bucket_index(~std::uint64_t{0}), 64u);
+  EXPECT_EQ(obs::bucket_index(~std::uint64_t{0}), obs::kHistogramBuckets - 1);
+  EXPECT_EQ(obs::bucket_floor(0), 0u);
+  EXPECT_EQ(obs::bucket_floor(1), 1u);
+  EXPECT_EQ(obs::bucket_floor(3), 4u);
 
   obs::Registry reg;
-  obs::Histogram& h = reg.histogram("h");
-  for (const std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 1000ull}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 1006u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 2u);
-  EXPECT_EQ(h.bucket(obs::Histogram::bucket_index(1000)), 1u);
-}
-
-TEST(ObsMetrics, RegistryResetZeroesButKeepsAddresses) {
-  obs::Registry reg;
-  obs::Counter& c = reg.counter("c");
-  obs::Histogram& h = reg.histogram("h");
-  c.add(5);
-  h.record(9);
-  reg.reset();
-  EXPECT_EQ(&c, &reg.counter("c"));
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
+  for (const std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 1000ull}) {
+    reg.record(Metric::kBfsBallNodes, v);
+  }
+  const obs::HistogramSnapshot h = reg.snapshot().histograms.at("bfs.ball_nodes");
+  EXPECT_EQ(h.count, 5u);
+  EXPECT_EQ(h.sum, 1006u);
+  EXPECT_EQ(h.buckets[0], 1u);
+  EXPECT_EQ(h.buckets[1], 1u);
+  EXPECT_EQ(h.buckets[2], 2u);
+  EXPECT_EQ(h.buckets[obs::bucket_index(1000)], 1u);
 }
 
 // --- snapshot algebra ----------------------------------------------------
 
 TEST(ObsMetrics, SnapshotDiffIsComponentwise) {
   obs::Registry reg;
-  reg.counter("a").add(10);
-  reg.gauge("q").set(4);
-  reg.histogram("h").record(3);
+  reg.add(Metric::kBfsRuns, 10);
+  reg.set(Metric::kServeQueueDepth, 4);
+  reg.record(Metric::kBfsBallNodes, 3);
   const obs::Snapshot before = reg.snapshot();
-  reg.counter("a").add(5);
-  reg.counter("b").add(1);  // key absent from `before` counts as zero
-  reg.gauge("q").set(-2);
-  reg.histogram("h").record(3);
-  reg.histogram("h").record(100);
+  reg.add(Metric::kBfsRuns, 5);
+  reg.add(Metric::kBfsNodesExpanded, 1);  // key absent from `before` counts as zero
+  reg.set(Metric::kServeQueueDepth, -2);
+  reg.record(Metric::kBfsBallNodes, 3);
+  reg.record(Metric::kBfsBallNodes, 100);
   const obs::Snapshot d = reg.snapshot().diff(before);
-  EXPECT_EQ(d.counters.at("a"), 5u);
-  EXPECT_EQ(d.counters.at("b"), 1u);
-  EXPECT_EQ(d.gauges.at("q"), -6);
-  EXPECT_EQ(d.histograms.at("h").count, 2u);
-  EXPECT_EQ(d.histograms.at("h").sum, 103u);
-  EXPECT_EQ(d.histograms.at("h").buckets[obs::Histogram::bucket_index(3)], 1u);
-  EXPECT_EQ(d.histograms.at("h").buckets[obs::Histogram::bucket_index(100)], 1u);
+  EXPECT_EQ(d.counters.at("bfs.runs"), 5u);
+  EXPECT_EQ(d.counters.at("bfs.nodes_expanded"), 1u);
+  EXPECT_EQ(d.gauges.at("serve.queue_depth"), -6);
+  const obs::HistogramSnapshot& h = d.histograms.at("bfs.ball_nodes");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_EQ(h.sum, 103u);
+  EXPECT_EQ(h.buckets[obs::bucket_index(3)], 1u);
+  EXPECT_EQ(h.buckets[obs::bucket_index(100)], 1u);
 }
 
 TEST(ObsMetrics, DiffRejectsNonMonotoneCounters) {
@@ -106,31 +84,16 @@ TEST(ObsMetrics, DiffRejectsNonMonotoneCounters) {
   EXPECT_THROW((void)later.diff(earlier), CheckError);
 }
 
-TEST(ObsMetrics, MergeSumsUnionOfKeys) {
-  obs::Registry r1;
-  r1.counter("a").add(2);
-  r1.histogram("h").record(1);
-  obs::Registry r2;
-  r2.counter("a").add(3);
-  r2.counter("b").add(7);
-  r2.histogram("h").record(1);
-  obs::Snapshot s = r1.snapshot();
-  s.merge(r2.snapshot());
-  EXPECT_EQ(s.counters.at("a"), 5u);
-  EXPECT_EQ(s.counters.at("b"), 7u);
-  EXPECT_EQ(s.histograms.at("h").count, 2u);
-  EXPECT_EQ(s.histograms.at("h").sum, 2u);
-  EXPECT_EQ(s.histograms.at("h").buckets[1], 2u);
-}
-
 TEST(ObsMetrics, ToJsonIsDeterministicAndLabelsBucketsByFloor) {
   obs::Registry reg;
-  reg.counter("z.last").add(1);
-  reg.counter("a.first").add(2);
-  reg.histogram("h").record(5);  // bucket 3, floor 4
+  // union.builds precedes shard.batches in the catalog; the JSON sorts by
+  // name, not by catalog row or write order.
+  reg.add(Metric::kUnionBuilds, 1);
+  reg.add(Metric::kShardBatches, 2);
+  reg.record(Metric::kBfsBallNodes, 5);  // bucket 3, floor 4
   const std::string json = reg.snapshot().to_json();
   // Sorted keys: byte-identical JSON for bit-identical runs.
-  EXPECT_LT(json.find("\"a.first\""), json.find("\"z.last\""));
+  EXPECT_LT(json.find("\"shard.batches\""), json.find("\"union.builds\""));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -140,10 +103,10 @@ TEST(ObsMetrics, ToJsonIsDeterministicAndLabelsBucketsByFloor) {
 
 TEST(ObsMetrics, AppendToFlattensIntoBenchReport) {
   obs::Registry reg;
-  reg.counter("c").add(9);
-  reg.gauge("g").set(-1);
-  reg.histogram("h").record(4);
-  reg.histogram("h").record(4);
+  reg.add(Metric::kBfsRuns, 9);
+  reg.set(Metric::kServeQueueDepth, -1);
+  reg.record(Metric::kBfsBallNodes, 4);
+  reg.record(Metric::kBfsBallNodes, 4);
   BenchReport report("obs");
   reg.snapshot().append_to(report, "obs.");
   const auto& values = report.values();
@@ -153,14 +116,14 @@ TEST(ObsMetrics, AppendToFlattensIntoBenchReport) {
     }
     return nullptr;
   };
-  ASSERT_NE(find("obs.c"), nullptr);
-  EXPECT_EQ(std::get<std::int64_t>(*find("obs.c")), 9);
-  ASSERT_NE(find("obs.g"), nullptr);
-  EXPECT_EQ(std::get<std::int64_t>(*find("obs.g")), -1);
-  ASSERT_NE(find("obs.h_count"), nullptr);
-  EXPECT_EQ(std::get<std::int64_t>(*find("obs.h_count")), 2);
-  ASSERT_NE(find("obs.h_sum"), nullptr);
-  EXPECT_EQ(std::get<std::int64_t>(*find("obs.h_sum")), 8);
+  ASSERT_NE(find("obs.bfs.runs"), nullptr);
+  EXPECT_EQ(std::get<std::int64_t>(*find("obs.bfs.runs")), 9);
+  ASSERT_NE(find("obs.serve.queue_depth"), nullptr);
+  EXPECT_EQ(std::get<std::int64_t>(*find("obs.serve.queue_depth")), -1);
+  ASSERT_NE(find("obs.bfs.ball_nodes_count"), nullptr);
+  EXPECT_EQ(std::get<std::int64_t>(*find("obs.bfs.ball_nodes_count")), 2);
+  ASSERT_NE(find("obs.bfs.ball_nodes_sum"), nullptr);
+  EXPECT_EQ(std::get<std::int64_t>(*find("obs.bfs.ball_nodes_sum")), 8);
 }
 
 // --- trace ring buffer ---------------------------------------------------
@@ -217,11 +180,12 @@ TEST(ObsSinks, ScopedInstallExposesAndRestores) {
     const obs::ScopedSinks sinks(&reg, &buf);
     ASSERT_EQ(obs::metrics(), &reg);
     ASSERT_EQ(obs::trace(), &buf);
-    obs::metrics()->counter("seen").add(1);
+    obs::add(Metric::kBfsRuns);
   }
   EXPECT_EQ(obs::metrics(), nullptr);
   EXPECT_EQ(obs::trace(), nullptr);
-  EXPECT_EQ(reg.snapshot().counters.at("seen"), 1u);
+  obs::add(Metric::kBfsRuns);  // no sink installed: dropped
+  EXPECT_EQ(reg.snapshot().counters.at("bfs.runs"), 1u);
 }
 
 TEST(ObsSinks, PhaseSpansEmitBalancedBeginEnd) {
@@ -247,51 +211,7 @@ TEST(ObsSinks, PhaseSpansEmitBalancedBeginEnd) {
   EXPECT_EQ(instants, 1u);
 }
 
-// --- concurrency: exact conservation under the thread pool (TSan) --------
-
-TEST(ObsThreads, CountersSumExactlyAcrossWorkers) {
-  obs::Registry reg;
-  const obs::ScopedSinks sinks(&reg, nullptr);
-  constexpr std::size_t kItems = 200000;
-  ThreadPool::global().parallel_for_workers(0, kItems, [&](std::size_t i, std::size_t) {
-    // Registration (mutex) and cell update (relaxed atomic) both hammered
-    // from every worker on the SAME names — the contended path TSan vets.
-    obs::metrics()->counter("hammer.count").add(1);
-    obs::metrics()->counter("hammer.weighted").add(i % 7);
-  });
-  const obs::Snapshot s = reg.snapshot();
-  EXPECT_EQ(s.counters.at("hammer.count"), kItems);
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < kItems; ++i) expected += i % 7;
-  EXPECT_EQ(s.counters.at("hammer.weighted"), expected);
-}
-
-TEST(ObsThreads, HistogramTotalsConserved) {
-  obs::Registry reg;
-  const obs::ScopedSinks sinks(&reg, nullptr);
-  constexpr std::size_t kItems = 100000;
-  ThreadPool::global().parallel_for_workers(0, kItems, [&](std::size_t i, std::size_t) {
-    obs::metrics()->histogram("hammer.h").record(i % 1000);
-  });
-  const obs::HistogramSnapshot h = reg.snapshot().histograms.at("hammer.h");
-  EXPECT_EQ(h.count, kItems);
-  std::uint64_t expected_sum = 0;
-  std::array<std::uint64_t, obs::Histogram::kBuckets> expected_buckets{};
-  for (std::size_t i = 0; i < kItems; ++i) {
-    expected_sum += i % 1000;
-    ++expected_buckets[obs::Histogram::bucket_index(i % 1000)];
-  }
-  EXPECT_EQ(h.sum, expected_sum);
-  EXPECT_EQ(h.buckets, expected_buckets);
-  // Cross-check conservation: bucket counts sum to the total count.
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t b : h.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, h.count);
-}
-
 // --- per-thread cells behind catalog ids (TSan) --------------------------
-
-using obs::Metric;
 
 /// Bucket, count and sum of `values` recorded into one histogram.
 obs::HistogramSnapshot expected_histogram(const std::vector<std::uint64_t>& values) {
@@ -299,7 +219,7 @@ obs::HistogramSnapshot expected_histogram(const std::vector<std::uint64_t>& valu
   for (const std::uint64_t v : values) {
     ++h.count;
     h.sum += v;
-    ++h.buckets[obs::Histogram::bucket_index(v)];
+    ++h.buckets[obs::bucket_index(v)];
   }
   return h;
 }
@@ -329,10 +249,6 @@ TEST(ObsCells, KindMismatchAndCatalogNamesRejected) {
   EXPECT_THROW(reg.add(Metric::kBfsBallNodes, 1), CheckError);
   EXPECT_THROW(reg.record(Metric::kBfsRuns, 1), CheckError);
   EXPECT_THROW(reg.set(Metric::kBfsRuns, 1), CheckError);
-  // A catalog metric has exactly one cell: the name-keyed accessors are
-  // for ad-hoc names only.
-  EXPECT_THROW((void)reg.counter("bfs.runs"), CheckError);
-  EXPECT_THROW((void)reg.histogram("domtree.tree_edges"), CheckError);
 }
 
 TEST(ObsCells, GaugesAreSharedLastWriteCells) {
@@ -395,37 +311,6 @@ TEST(ObsCells, OneThreadKeepsRegistriesApart) {
               expected_histogram(std::vector<std::uint64_t>(100, r)))
         << r;
   }
-}
-
-TEST(ObsCells, ResetZeroesEverySlabAndKeepsKeys) {
-  obs::Registry reg;
-  const obs::ScopedSinks sinks(&reg, nullptr);
-  ThreadPool::global().parallel_for_workers(0, 1000, [&](std::size_t i, std::size_t) {
-    obs::add(Metric::kSimRounds, 1);
-    obs::record(Metric::kSimRoundOffered, i);
-  });
-  obs::gauge_set(Metric::kServeQueueDepth, 4);
-  (void)reg.counter("adhoc").add(2);
-  const obs::Snapshot before = reg.snapshot();
-  EXPECT_EQ(before.counters.at("sim.rounds"), 1000u);
-  reg.reset();
-  const obs::Snapshot after = reg.snapshot();
-  ASSERT_EQ(after.counters.size(), before.counters.size());
-  ASSERT_EQ(after.gauges.size(), before.gauges.size());
-  ASSERT_EQ(after.histograms.size(), before.histograms.size());
-  for (const auto& [name, value] : after.counters) {
-    EXPECT_TRUE(before.counters.contains(name)) << name;
-    EXPECT_EQ(value, 0u) << name;
-  }
-  for (const auto& [name, value] : after.gauges) EXPECT_EQ(value, 0) << name;
-  for (const auto& [name, h] : after.histograms) {
-    EXPECT_EQ(h, obs::HistogramSnapshot{}) << name;
-  }
-  // Cells keep counting from zero on every thread after the reset.
-  ThreadPool::global().parallel_for_workers(0, 10, [&](std::size_t, std::size_t) {
-    obs::add(Metric::kSimRounds, 1);
-  });
-  EXPECT_EQ(reg.snapshot().counters.at("sim.rounds"), 10u);
 }
 
 TEST(ObsCells, CountersSumExactlyAcrossWorkers) {

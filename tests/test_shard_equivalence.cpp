@@ -5,14 +5,16 @@
 // equivalence corpus and all four tree algorithms. This is the contract
 // that makes ShardConfig a pure execution knob. Also covered: the locality
 // order, the BallScout / BallGather compact-subgraph machinery the engine
-// builds on, the per-tree visitor, the failure path (a throwing tree build
-// rethrows on the caller and leaves the pool usable) and, under TSan (see
-// the CI regex), pool workers or_batch-ing into the one shared bitset.
+// builds on, the per-tree visitor, the failure path (a throwing visitor
+// rethrows on the caller and leaves the pool and a reused ClusterEngine
+// usable) and, under TSan (see the CI regex), pool workers or_batch-ing
+// into the one shared bitset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,10 +23,12 @@
 #include "core/remote_spanner.hpp"
 #include "geom/ball_graph.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/views.hpp"
 #include "shard/ball_gather.hpp"
 #include "shard/shard_engine.hpp"
 #include "shard/shard_plan.hpp"
 #include "support/corpus.hpp"
+#include "util/bitset.hpp"
 #include "util/rng.hpp"
 
 namespace remspan {
@@ -39,9 +43,13 @@ ShardConfig engine_config(std::size_t cap, std::size_t batch) {
   return config;
 }
 
+/// One root's tree, called straight on a DomTreeBuilder: the reference
+/// stays independent of TreeRecipe, which the engine side runs.
+using ReferenceTree = std::function<RootedTree(DomTreeBuilder&, NodeId)>;
+
 /// The test oracle: every root's tree built sequentially against the whole
 /// graph and unioned, with no clusters, gathers or threads.
-EdgeSet reference_union(const Graph& g, const MakeTree& make_tree, SpannerBuildInfo* info) {
+EdgeSet reference_union(const Graph& g, const ReferenceTree& make_tree, SpannerBuildInfo* info) {
   DomTreeBuilder builder(g);
   EdgeSet spanner(g);
   for (NodeId root = 0; root < g.num_nodes(); ++root) {
@@ -61,7 +69,7 @@ EdgeSet reference_union(const Graph& g, const MakeTree& make_tree, SpannerBuildI
 /// Builds through `build` at every cluster size x worker cap, requiring the
 /// reference's exact edge set and aggregate stats each time.
 void expect_matches_reference(
-    const Graph& g, const std::string& label, const MakeTree& make_tree,
+    const Graph& g, const std::string& label, const ReferenceTree& make_tree,
     const std::function<EdgeSet(const ShardConfig&, SpannerBuildInfo*)>& build) {
   SpannerBuildInfo ref_info;
   const EdgeSet ref = reference_union(g, make_tree, &ref_info);
@@ -337,27 +345,22 @@ TEST(ShardEquivalence, LowStretchUdgBitExactThroughFrontEnd) {
       });
 }
 
-/// The visitor sees every root exactly once, and translating its local tree
-/// through the gather reproduces the whole-graph tree's node pairs.
+/// The visitor sees every root exactly once, and the edge ids it is handed
+/// are the whole-graph tree's parent edges, in attach order.
 TEST(ShardEquivalence, VisitorSeesEveryWholeGraphTreeOnce) {
   const Graph g = testsupport::equivalence_family(3, 33);
   DomTreeBuilder global_builder(g);
   std::vector<std::vector<Edge>> seen(g.num_nodes());
   std::vector<std::atomic<int>> visits(g.num_nodes());
-  const auto make_tree = [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 2); };
-  (void)cluster_union_of_trees(
-      g, 2, make_tree, engine_config(0, 4), nullptr,
-      [&](NodeId root, const RootedTree& tree, const BallGather& gather) {
-        visits[root].fetch_add(1);
-        for (const NodeId v : tree.nodes()) {
-          if (v == tree.root()) continue;
-          seen[root].push_back(make_edge(gather.global_id(v), gather.global_id(tree.parent(v))));
-        }
-      });
+  (void)cluster_union_of_trees(g, TreeRecipe::k_connecting(2), engine_config(0, 4), nullptr,
+                               [&](NodeId root, std::span<const EdgeId> ids) {
+                                 visits[root].fetch_add(1);
+                                 for (const EdgeId id : ids) seen[root].push_back(g.edge(id));
+                               });
   for (NodeId root = 0; root < g.num_nodes(); ++root) {
     ASSERT_EQ(visits[root].load(), 1) << "root " << root;
     std::vector<Edge> want;
-    const RootedTree tree = make_tree(global_builder, root);
+    const RootedTree tree = global_builder.greedy_k(root, 2);
     for (const NodeId v : tree.nodes()) {
       if (v != tree.root()) want.push_back(make_edge(v, tree.parent(v)));
     }
@@ -365,28 +368,66 @@ TEST(ShardEquivalence, VisitorSeesEveryWholeGraphTreeOnce) {
   }
 }
 
-/// The failure path: a tree build that throws mid-build surfaces on the
+/// The failure path: a visitor that throws mid-build surfaces on the
 /// calling thread (never terminates a pool worker), and the same pool runs
 /// the next build to the correct result.
 TEST(ShardEquivalence, ThrowingTreeRethrowsOnCallerAndPoolRecovers) {
   const Graph g = testsupport::observability_graph(7);
-  const auto make_tree = [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 1); };
   SpannerBuildInfo ref_info;
-  const EdgeSet ref = reference_union(g, make_tree, &ref_info);
+  const EdgeSet ref = reference_union(
+      g, [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 1); }, &ref_info);
   for (const std::size_t k : {std::size_t{0}, std::size_t{g.num_nodes() / 2},
                               std::size_t{g.num_nodes() - 1}}) {
     std::atomic<std::size_t> calls{0};
-    const auto failing = [&](DomTreeBuilder& b, NodeId u) {
-      if (calls.fetch_add(1) == k) throw std::runtime_error("tree build failed");
-      return b.greedy_k(u, 1);
+    const auto failing = [&](NodeId /*root*/, std::span<const EdgeId> /*ids*/) {
+      if (calls.fetch_add(1) == k) throw std::runtime_error("tree visitor failed");
     };
-    EXPECT_THROW((void)cluster_union_of_trees(g, 2, failing, engine_config(0, 4)),
+    EXPECT_THROW((void)cluster_union_of_trees(g, TreeRecipe::k_connecting(1),
+                                              engine_config(0, 4), nullptr, failing),
                  std::runtime_error)
         << "k=" << k;
     SpannerBuildInfo info;
     EXPECT_TRUE(build_k_connecting_spanner(g, 1, &info, engine_config(0, 4)) == ref)
         << "k=" << k;
     EXPECT_EQ(info.sum_tree_edges, ref_info.sum_tree_edges);
+  }
+}
+
+/// One ClusterEngine held across builds, as IncrementalSpanner holds its
+/// engine across batches: after a build whose visitor threw, the next build
+/// on the same engine ORs exactly the reference union with its tallies.
+TEST(ShardEquivalence, EngineIsReusableAfterAThrowingBuild) {
+  const Graph g = testsupport::observability_graph(11);
+  SpannerBuildInfo ref_info;
+  const EdgeSet ref = reference_union(
+      g, [](DomTreeBuilder& b, NodeId u) { return b.greedy_k(u, 1); }, &ref_info);
+  const TreeRecipe recipe = TreeRecipe::k_connecting(1);
+  const ShardConfig config = engine_config(0, 4);
+  const std::vector<NodeId> order = locality_root_order(g, config.batch_roots);
+  ClusterEngine engine;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{g.num_nodes() / 2},
+                              std::size_t{g.num_nodes() - 1}}) {
+    AtomicBitset dropped(g.num_edges());
+    EXPECT_THROW((void)engine.build(GraphView(g), order, recipe, config, &dropped,
+                                    [k](std::size_t i, NodeId /*root*/,
+                                        std::span<const EdgeId> /*ids*/) {
+                                      if (i == k) throw std::runtime_error("tree visitor failed");
+                                    }),
+                 std::runtime_error)
+        << "k=" << k;
+    AtomicBitset shared(g.num_edges());
+    std::vector<std::atomic<int>> visits(g.num_nodes());
+    const ClusterTallies tally = engine.build(
+        GraphView(g), order, recipe, config, &shared,
+        [&](std::size_t /*i*/, NodeId root, std::span<const EdgeId> /*ids*/) {
+          visits[root].fetch_add(1);
+        });
+    EXPECT_TRUE(EdgeSet(g, shared.snapshot()) == ref) << "k=" << k;
+    EXPECT_EQ(tally.sum_tree_edges, ref_info.sum_tree_edges) << "k=" << k;
+    EXPECT_EQ(tally.max_tree_edges, ref_info.max_tree_edges) << "k=" << k;
+    for (NodeId root = 0; root < g.num_nodes(); ++root) {
+      ASSERT_EQ(visits[root].load(), 1) << "k=" << k << " root " << root;
+    }
   }
 }
 
