@@ -82,7 +82,7 @@ LossResult replay_under_faults(const ChurnTrace& trace, const api::SpannerSpec& 
   };
   account(sim->initial_stats());
   for (const auto& batch : trace.batches) account(sim->apply_batch(batch));
-  for (NodeId v = 0; v < sim->graph().num_nodes(); ++v) r.trees.push_back(sim->node_tree(v));
+  for (NodeId v = 0; v < sim->graph().num_nodes(); ++v) r.trees.push_back(sim->node(v).tree_edges());
   r.spanner = sim->spanner().edge_list();
   return r;
 }

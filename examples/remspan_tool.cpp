@@ -50,6 +50,7 @@
 // changes any computed result (docs/OBSERVABILITY.md).
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/spanner_stats.hpp"
 #include "api/observability.hpp"
@@ -568,5 +569,9 @@ int main(int argc, char** argv) {
   } catch (const api::SpecError& e) {
     std::cerr << e.what() << "\n";
     return 2;
+  } catch (const std::runtime_error& e) {
+    // A lossy protocol epoch that reached its round cap unconverged.
+    std::cerr << "remspan_tool: " << e.what() << "\n";
+    return 1;
   }
 }

@@ -21,9 +21,6 @@ obs::TraceBuffer& static_trace() {
   return buffer;
 }
 
-bool g_metrics_on = false;
-bool g_trace_on = false;
-
 // Destinations of the atexit writer (empty = no write). Plain statics are
 // safe here: the handler is registered after their construction, so it runs
 // before their destruction.
@@ -47,18 +44,12 @@ void write_env_outputs() {
 }  // namespace
 
 void enable_observability(bool metrics, bool trace) {
-  g_metrics_on = metrics;
-  g_trace_on = trace;
   obs::install(metrics ? &static_registry() : nullptr, trace ? &static_trace() : nullptr);
 }
 
 void disable_observability() { enable_observability(false, false); }
 
-bool observability_enabled() noexcept { return g_metrics_on || g_trace_on; }
-
 obs::Registry& observability_registry() { return static_registry(); }
-
-obs::TraceBuffer& observability_trace_buffer() { return static_trace(); }
 
 std::string metrics_snapshot_json() { return static_registry().snapshot().to_json(); }
 

@@ -27,14 +27,10 @@ void enable_observability(bool metrics, bool trace);
 /// Uninstalls both sinks (equivalent to enable_observability(false, false)).
 void disable_observability();
 
-/// True while at least one facade sink is installed.
-[[nodiscard]] bool observability_enabled() noexcept;
-
-/// The facade-owned sinks themselves — for tests and drivers that want to
-/// inspect or reset collected content. Always valid; collecting only while
+/// The facade-owned metrics registry — for tests and drivers that want to
+/// inspect collected content. Always valid; collecting only while
 /// installed.
 [[nodiscard]] obs::Registry& observability_registry();
-[[nodiscard]] obs::TraceBuffer& observability_trace_buffer();
 
 /// JSON serialization of the registry's current snapshot (valid JSON with
 /// empty sections when nothing was ever collected).

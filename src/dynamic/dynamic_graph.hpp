@@ -115,8 +115,6 @@ class DynamicGraph {
   /// Whether the edge {a,b} is stored (regardless of endpoint liveness).
   [[nodiscard]] bool has_edge(NodeId a, NodeId b) const;
 
-  /// Stored edges (live and masked).
-  [[nodiscard]] std::size_t num_stored_edges() const noexcept { return stored_edges_; }
 
   /// Stored row of u, sorted by neighbor, liveness-agnostic.
   [[nodiscard]] std::span<const AdjEntry> row(NodeId u) const {

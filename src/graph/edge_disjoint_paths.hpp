@@ -43,11 +43,4 @@ template <NeighborView View>
   return result;
 }
 
-/// ed^k(s,t) or DisjointPathsResult::kNoPaths.
-template <NeighborView View>
-[[nodiscard]] std::uint64_t k_edge_connecting_distance(const View& view, NodeId s, NodeId t,
-                                                       Dist k) {
-  return min_edge_disjoint_paths(view, s, t, k).d(k);
-}
-
 }  // namespace remspan

@@ -49,7 +49,6 @@ class SpannerSnapshot {
   [[nodiscard]] const SnapshotInfo& info() const noexcept { return info_; }
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
-  [[nodiscard]] std::shared_ptr<const Graph> graph_ptr() const noexcept { return graph_; }
   [[nodiscard]] const EdgeSet& spanner() const noexcept { return spanner_; }
 
   [[nodiscard]] std::size_t num_spanner_edges() const noexcept { return spanner_edges_; }

@@ -19,10 +19,9 @@ GilbertElliott GilbertElliott::from_loss_and_burst(double loss, double mean_burs
   return ge;
 }
 
-std::uint32_t emission_jitter(NodeId node, std::uint32_t k, std::uint32_t span) noexcept {
-  if (span == 0) return 0;
+std::uint32_t emission_jitter(NodeId node, std::uint32_t k) noexcept {
   std::uint64_t state = (static_cast<std::uint64_t>(node) << 32) ^ k ^ 0xA24BAED4963EE407ull;
-  return static_cast<std::uint32_t>(splitmix64(state) % (span + 1));
+  return static_cast<std::uint32_t>(splitmix64(state) % (kRetransmitJitter + 1));
 }
 
 LinkModel::LinkModel(LinkModelConfig config, NodeId num_nodes)

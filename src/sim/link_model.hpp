@@ -1,6 +1,7 @@
 // Fault injection for the round simulator: per-link loss, delay and
-// scripted adversarial schedules, plus the reliability knobs the protocols
-// use to survive them.
+// scripted adversarial schedules, plus the fixed retransmission schedule
+// (kRetransmitBase, kBackoffCap, kRetransmitJitter, kLossyMaxRounds) the
+// protocol uses to survive them.
 //
 // The LOCAL model the paper's round accounting assumes (network.hpp) is the
 // friendliest possible channel: a broadcast in round i reaches every
@@ -111,68 +112,52 @@ struct LinkModelConfig {
   [[nodiscard]] std::uint32_t max_delay() const noexcept { return delay + jitter; }
 };
 
-/// Protocol-side reliability knobs (ack-less retransmission). Enabled
-/// automatically by the drivers whenever a faulty LinkModelConfig is
-/// attached; with a lossless channel RemSpanProtocol keeps the paper's
-/// exact schedule so the round/message accounting is unchanged.
-struct ReliabilityConfig {
-  bool enabled = false;
-  /// Rounds until the first re-advertisement of a stream; doubles after
-  /// every retransmission (capped exponential backoff).
-  std::uint32_t retransmit_base = 2;
-  /// Cap on the backoff interval: at quiescence every advertiser still
-  /// re-floods at least once per backoff_cap + retransmit_jitter rounds.
-  std::uint32_t backoff_cap = 8;
-  /// Deterministic emission jitter: the k-th re-advertisement is delayed by
-  /// a hash of (node, k) in {0 .. retransmit_jitter} extra rounds — the
-  /// OLSR trick (RFC 3626 MAXJITTER) that keeps periodic re-advertisements
-  /// from synchronizing with each other or locking onto the phase of a
-  /// periodic adversary (drop_every_nth kills the same copies forever if
-  /// the traffic pattern repeats exactly). 0 disables.
-  std::uint32_t retransmit_jitter = 3;
-  /// Quiescence window W: the driver stops a convergence epoch after W
-  /// consecutive rounds with no protocol-state progress. 0 = derive
-  /// quiescence_window_for(max_delay) from the backoff cap.
-  std::uint32_t quiescence_window = 0;
-  /// Hard cap on the rounds of one lossy convergence epoch (safety net; a
-  /// quiescent epoch stops long before this).
-  std::uint32_t max_rounds = 20000;
+// Protocol-side reliability (ack-less retransmission). A RemSpanProtocol
+// node runs it exactly when its driver's FaultConfig is faulty; with a
+// lossless channel the node keeps the paper's exact schedule so the
+// round/message accounting is unchanged. The schedule is fixed:
 
-  /// The effective detector window: at least two full backoff-capped,
-  /// jitter-stretched retransmission periods plus the worst-case delivery
-  /// delay, so every advertiser re-floods at least twice inside any window
-  /// the detector lets elapse, and every surviving copy has landed.
-  [[nodiscard]] std::uint32_t quiescence_window_for(std::uint32_t max_delay) const noexcept {
-    if (quiescence_window != 0) return quiescence_window;
-    return 3 * (backoff_cap + retransmit_jitter) + max_delay + 2;
-  }
-};
+/// Rounds until the first re-advertisement of a stream; the interval
+/// doubles after every retransmission (capped exponential backoff).
+inline constexpr std::uint32_t kRetransmitBase = 2;
+/// Cap on the backoff interval: at quiescence every advertiser still
+/// re-floods at least once per kBackoffCap + kRetransmitJitter rounds.
+inline constexpr std::uint32_t kBackoffCap = 8;
+/// Deterministic emission jitter: the k-th re-advertisement is delayed by
+/// a hash of (node, k) in {0 .. kRetransmitJitter} extra rounds — the OLSR
+/// trick (RFC 3626 MAXJITTER) that keeps periodic re-advertisements from
+/// synchronizing with each other or locking onto the phase of a periodic
+/// adversary (drop_every_nth kills the same copies forever if the traffic
+/// pattern repeats exactly).
+inline constexpr std::uint32_t kRetransmitJitter = 3;
+/// Hard cap on the rounds of one lossy convergence epoch. A quiescent
+/// epoch stops long before it; an epoch that reaches it unconverged is an
+/// error (run_remspan_epoch throws), never a silently wrong spanner.
+inline constexpr std::uint32_t kLossyMaxRounds = 20000;
 
-/// The deterministic emission jitter of ReliabilityConfig::retransmit_jitter:
-/// extra rounds in {0 .. span} for the k-th re-advertisement of `node`, as a
-/// pure hash (no ambient randomness — lint rule R5). Returns 0 for span 0.
-[[nodiscard]] std::uint32_t emission_jitter(NodeId node, std::uint32_t k,
-                                            std::uint32_t span) noexcept;
+/// The quiescence detector's window for a channel whose surviving copies
+/// arrive at most `max_delay` rounds late: at least two full backoff-capped,
+/// jitter-stretched retransmission periods plus the worst-case delivery
+/// delay, so every advertiser re-floods at least twice inside any window
+/// the detector lets elapse, and every surviving copy has landed.
+[[nodiscard]] constexpr std::uint32_t quiescence_window_for(std::uint32_t max_delay) noexcept {
+  return 3 * (kBackoffCap + kRetransmitJitter) + max_delay + 2;
+}
 
-/// Channel faults + protocol reliability: the single knob the two drivers
-/// of RemSpanProtocol accept — run_remspan_distributed (in-band sensing)
-/// and ReconvergenceSim (driver-sensed epochs) — and, through them, the api
-/// sessions and the CLI. Default = lossless channel, the paper's exact
-/// schedule.
+/// The deterministic emission jitter: extra rounds in
+/// {0 .. kRetransmitJitter} for the k-th re-advertisement of `node`, as a
+/// pure hash (no ambient randomness — lint rule R5).
+[[nodiscard]] std::uint32_t emission_jitter(NodeId node, std::uint32_t k) noexcept;
+
+/// The channel faults the two drivers of RemSpanProtocol accept —
+/// run_remspan_distributed (in-band sensing) and ReconvergenceSim
+/// (driver-sensed epochs) — and, through them, the api sessions and the
+/// CLI. A faulty channel switches every node to the reliable schedule
+/// above. Default = lossless channel, the paper's exact schedule.
 struct FaultConfig {
   LinkModelConfig link;
-  ReliabilityConfig reliability;
 
   [[nodiscard]] bool faulty() const noexcept { return link.faulty(); }
-
-  /// Reliability the drivers actually apply: whatever was configured, with
-  /// `enabled` forced on when the channel is faulty (an unreliable channel
-  /// without retransmission cannot guarantee convergence).
-  [[nodiscard]] ReliabilityConfig effective_reliability() const noexcept {
-    ReliabilityConfig rel = reliability;
-    rel.enabled = rel.enabled || faulty();
-    return rel;
-  }
 };
 
 /// What the channel does to one per-neighbor delivery attempt.

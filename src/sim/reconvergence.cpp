@@ -13,10 +13,6 @@ const char* strategy_name(ReconvergeStrategy strategy) noexcept {
 
 namespace {
 
-RemSpanProtocol& proto(Network& net, NodeId v) {
-  return dynamic_cast<RemSpanProtocol&>(net.node(v));
-}
-
 std::vector<NodeId> sorted_neighbors(const Graph& g, NodeId v) {
   const auto nbrs = g.neighbors(v);  // CSR rows are sorted
   return {nbrs.begin(), nbrs.end()};
@@ -29,25 +25,22 @@ ReconvergenceSim::ReconvergenceSim(const Graph& initial, const RemSpanConfig& co
     : config_(config),
       strategy_(strategy),
       faults_(faults),
-      rel_(faults.effective_reliability()),
       dynamic_(initial),
       graph_(dynamic_.snapshot()),
+      net_(*graph_),
       dirty_bfs_(initial.num_nodes()) {
   obs::PhaseSpan span("sim.initial_convergence", "sim");
-  const ReliabilityConfig& rel = rel_;
-  net_ = std::make_unique<Network>(*graph_, [&config, &rel](NodeId v) {
-    return std::make_unique<RemSpanProtocol>(config, v, rel);
-  });
   if (faults_.faulty()) {
-    net_->set_link_model(std::make_unique<LinkModel>(faults_.link, graph_->num_nodes()));
+    net_.set_link_model(std::make_unique<LinkModel>(faults_.link, graph_->num_nodes()));
   }
+  nodes_.reserve(graph_->num_nodes());
   for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-    auto& p = proto(*net_, v);
+    RemSpanProtocol& p = nodes_.emplace_back(config_, v, faults_.faulty());
     p.sense_neighbors(sorted_neighbors(*graph_, v));
     p.begin_epoch(/*advertise=*/true, /*reset_state=*/true);
   }
-  initial_.rounds = run_remspan_epoch(*net_, config_, rel_, dirty_bfs_);
-  const NetworkStats& s = net_->stats();
+  initial_.rounds = run_remspan_epoch(net_, nodes_, config_, dirty_bfs_);
+  const NetworkStats& s = net_.stats();
   initial_.advertising_nodes = graph_->num_nodes();
   initial_.transmissions = s.transmissions;
   initial_.receptions = s.receptions;
@@ -59,8 +52,6 @@ ReconvergenceSim::ReconvergenceSim(const Graph& initial, const RemSpanConfig& co
   initial_.seconds = span.seconds();
 }
 
-ReconvergenceSim::~ReconvergenceSim() = default;
-
 ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> events) {
   obs::PhaseSpan span("sim.reconverge_batch", "sim");
   ReconvergeBatchStats stats;
@@ -71,7 +62,7 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
   const std::shared_ptr<const Graph> new_graph = dynamic_.snapshot();
   const GraphDelta delta = diff_graphs(*old_graph, *new_graph);
   graph_ = new_graph;
-  net_->change_topology(*graph_);
+  net_.change_topology(*graph_);
   if (delta.empty()) {
     // No live-topology change: nobody re-advertises, nothing flows.
     stats.spanner_edges = spanner().size();
@@ -86,7 +77,7 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
 
   if (strategy_ == ReconvergeStrategy::kFullReflood) {
     for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-      auto& p = proto(*net_, v);
+      RemSpanProtocol& p = nodes_[v];
       p.sense_neighbors(sorted_neighbors(*graph_, v));
       p.begin_epoch(/*advertise=*/true, /*reset_state=*/true);
     }
@@ -95,17 +86,17 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
     const std::vector<NodeId> dirty = collect_dirty_roots(
         *old_graph, *new_graph, touched, config_.flood_scope(), dirty_bfs_, dirty_flag_);
     for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-      proto(*net_, v).begin_epoch(/*advertise=*/dirty_flag_[v] != 0, /*reset_state=*/false);
+      nodes_[v].begin_epoch(/*advertise=*/dirty_flag_[v] != 0, /*reset_state=*/false);
     }
     for (const NodeId v : touched) {
-      proto(*net_, v).sense_neighbors(sorted_neighbors(*graph_, v));
+      nodes_[v].sense_neighbors(sorted_neighbors(*graph_, v));
     }
     stats.advertising_nodes = dirty.size();
   }
 
-  const NetworkStats before = net_->stats();
-  stats.rounds = run_remspan_epoch(*net_, config_, rel_, dirty_bfs_);
-  const NetworkStats delta_stats = net_->stats() - before;
+  const NetworkStats before = net_.stats();
+  stats.rounds = run_remspan_epoch(net_, nodes_, config_, dirty_bfs_);
+  const NetworkStats delta_stats = net_.stats() - before;
   stats.transmissions = delta_stats.transmissions;
   stats.receptions = delta_stats.receptions;
   stats.payload_words = delta_stats.payload_words;
@@ -117,18 +108,6 @@ ReconvergeBatchStats ReconvergenceSim::apply_batch(std::span<const GraphEvent> e
   return stats;
 }
 
-EdgeSet ReconvergenceSim::spanner() const { return advertised_spanner(*net_); }
-
-const std::vector<Edge>& ReconvergenceSim::node_tree(NodeId v) const {
-  return proto(*net_, v).tree_edges();
-}
-
-std::map<NodeId, std::vector<NodeId>> ReconvergenceSim::node_ball_lists(NodeId v) const {
-  return proto(*net_, v).ball_lists();
-}
-
-std::map<NodeId, std::vector<Edge>> ReconvergenceSim::node_ball_trees(NodeId v) const {
-  return proto(*net_, v).ball_trees();
-}
+EdgeSet ReconvergenceSim::spanner() const { return advertised_spanner(net_, nodes_); }
 
 }  // namespace remspan

@@ -91,7 +91,7 @@
 //       re-flood re-walks the whole ttl = scope ball, healing any gap the
 //       channel punched downstream — but unchanged content and version.
 //   (2) Eventual delivery. Every advertiser re-floods its streams at least
-//       once per backoff_cap + retransmit_jitter rounds until the epoch
+//       once per kBackoffCap + kRetransmitJitter rounds until the epoch
 //       ends, at emission times jittered by a per-(node, resend) hash so no
 //       periodic loss process stays phase-locked to them. Each re-flood
 //       reaches each ball member through some shortest path with probability
@@ -110,7 +110,8 @@
 //       unchanged, no new version is flooded, so retransmissions alone never
 //       register as progress.
 //   (4) Termination is *confirmed*, not guessed. A window of W >=
-//       3*backoff_cap + max_delay + 2 consecutive progress-free rounds is
+//       quiescence_window_for(max_delay) = 3*(kBackoffCap +
+//       kRetransmitJitter) + max_delay + 2 consecutive progress-free rounds is
 //       only a candidate stop: it makes an undelivered stream unlikely
 //       (every advertiser retransmitted at least twice inside the window),
 //       but at high loss every one of those copies can die, and a scripted
@@ -127,7 +128,11 @@
 //       the lossless converged state. A real deployment has no oracle; it
 //       keeps the soft-state periodic refresh running instead and a node
 //       that missed part of a stream converges in a later refresh period —
-//       same fixpoint, later clock (graceful degradation).
+//       same fixpoint, later clock (graceful degradation). The simulator
+//       does cap an epoch at kLossyMaxRounds rounds; an epoch that reaches
+//       the cap unconfirmed (a loss rate so close to 1 that "probability 1"
+//       needs more rounds than that) throws instead of returning a state
+//       the oracle rejected.
 //
 // tests/test_reconvergence_loss.cpp pins the claim across loss rates, delay
 // jitter, burst loss, partition/flood-kill schedules, graph families and
@@ -136,7 +141,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -179,9 +183,14 @@ struct ReconvergeBatchStats {
 };
 
 /// Churn-aware driver over the round simulator. Owns the evolving topology
-/// (a DynamicGraph seeded from the initial graph) and one protocol instance
-/// per node; apply_batch() feeds one ChurnTrace batch through the network
-/// and reports the reconvergence cost.
+/// (a DynamicGraph seeded from the initial graph), the Network and one
+/// RemSpanProtocol per node; apply_batch() feeds one ChurnTrace batch
+/// through the network and reports the reconvergence cost.
+///
+/// A lossy epoch that reaches kLossyMaxRounds unconverged throws
+/// std::runtime_error from the constructor or from apply_batch(). The
+/// topology and node state are then mid-epoch: discard a ReconvergenceSim
+/// whose constructor or apply_batch() threw this error.
 class ReconvergenceSim {
  public:
   /// Builds the network on `initial` and runs the initial convergence
@@ -192,7 +201,6 @@ class ReconvergenceSim {
   /// lossless schedule.
   ReconvergenceSim(const Graph& initial, const RemSpanConfig& config,
                    ReconvergeStrategy strategy, const FaultConfig& faults = {});
-  ~ReconvergenceSim();
 
   ReconvergenceSim(const ReconvergenceSim&) = delete;
   ReconvergenceSim& operator=(const ReconvergenceSim&) = delete;
@@ -219,26 +227,19 @@ class ReconvergenceSim {
   /// network-wide view of the spanner the protocol maintains.
   [[nodiscard]] EdgeSet spanner() const;
 
-  /// Node v's currently advertised tree edges (global node pairs).
-  [[nodiscard]] const std::vector<Edge>& node_tree(NodeId v) const;
-
-  /// Node v's topology knowledge pruned to its scope-ball: origin -> sorted
-  /// neighbor list, exactly what v's next tree computation would read. The
-  /// oracle tests compare this between strategies.
-  [[nodiscard]] std::map<NodeId, std::vector<NodeId>> node_ball_lists(NodeId v) const;
-
-  /// Latest tree v knows per ball origin (its own under key v) — the
-  /// node-local view of the spanner within its ball.
-  [[nodiscard]] std::map<NodeId, std::vector<Edge>> node_ball_trees(NodeId v) const;
+  /// Node v's protocol state: its advertised tree (tree_edges), its
+  /// scope-ball lists and tree views (ball_lists, ball_trees), which the
+  /// oracle tests compare between strategies and channels.
+  [[nodiscard]] const RemSpanProtocol& node(NodeId v) const { return nodes_[v]; }
 
  private:
   RemSpanConfig config_;
   ReconvergeStrategy strategy_;
   FaultConfig faults_;
-  ReliabilityConfig rel_;
   DynamicGraph dynamic_;
   std::shared_ptr<const Graph> graph_;
-  std::unique_ptr<Network> net_;
+  Network net_;
+  std::vector<RemSpanProtocol> nodes_;
   BoundedBfs dirty_bfs_;  // dirty-root collection and the oracle's ball walks
   std::vector<std::uint8_t> dirty_flag_;
   ReconvergeBatchStats initial_;

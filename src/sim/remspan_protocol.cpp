@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/mpr.hpp"
 #include "graph/bfs.hpp"
@@ -233,16 +235,16 @@ void RemSpanProtocol::send_hello(NodeContext& ctx) {
 
 void RemSpanProtocol::advertise_list(NodeContext& ctx) {
   std::vector<std::uint32_t> payload;
-  payload.reserve(neighbors_.size() + (rel_.enabled ? kVersionPrefixWords : 0));
-  if (rel_.enabled) payload.push_back(list_version_);
+  payload.reserve(neighbors_.size() + (reliable_ ? kVersionPrefixWords : 0));
+  if (reliable_) payload.push_back(list_version_);
   payload.insert(payload.end(), neighbors_.begin(), neighbors_.end());
   flood_.originate(ctx, kMsgNeighborList, config_.flood_scope(), std::move(payload));
 }
 
 void RemSpanProtocol::flood_tree(NodeContext& ctx) {
   std::vector<std::uint32_t> payload;
-  payload.reserve(tree_edges_.size() * 2 + (rel_.enabled ? kVersionPrefixWords : 0));
-  if (rel_.enabled) payload.push_back(tree_version_);
+  payload.reserve(tree_edges_.size() * 2 + (reliable_ ? kVersionPrefixWords : 0));
+  if (reliable_) payload.push_back(tree_version_);
   for (const Edge& e : tree_edges_) {
     payload.push_back(e.u);
     payload.push_back(e.v);
@@ -251,8 +253,7 @@ void RemSpanProtocol::flood_tree(NodeContext& ctx) {
 }
 
 void RemSpanProtocol::schedule_retransmit() {
-  next_retransmit_ = round_ + retransmit_interval_ +
-                     emission_jitter(self_, ++resend_count_, rel_.retransmit_jitter);
+  next_retransmit_ = round_ + retransmit_interval_ + emission_jitter(self_, ++resend_count_);
 }
 
 void RemSpanProtocol::on_round(NodeContext& ctx) {
@@ -267,8 +268,8 @@ void RemSpanProtocol::on_round(NodeContext& ctx) {
     // list may still be partial — every later new HELLO marks it dirty and
     // a higher-versioned re-advertisement supersedes this one.
     advertise_list(ctx);
-    if (rel_.enabled) {
-      retransmit_interval_ = std::max<std::uint32_t>(1, rel_.retransmit_base);
+    if (reliable_) {
+      retransmit_interval_ = kRetransmitBase;
       schedule_retransmit();
     }
     return;
@@ -309,8 +310,7 @@ void RemSpanProtocol::on_round(NodeContext& ctx) {
     if (!driver_sensed_) send_hello(ctx);
     advertise_list(ctx);
     if (computed_) flood_tree(ctx);
-    retransmit_interval_ =
-        std::min(retransmit_interval_ * 2, std::max<std::uint32_t>(1, rel_.backoff_cap));
+    retransmit_interval_ = std::min(retransmit_interval_ * 2, kBackoffCap);
     schedule_retransmit();
     record_retransmit_obs(self_, round_, retransmit_interval_);
   }
@@ -335,7 +335,7 @@ std::optional<RemSpanProtocol::Fresh> RemSpanProtocol::accept_fresh(
   if (!flood_.accept(ctx, msg)) return std::nullopt;
   std::span<const std::uint32_t> body(msg.payload);
   std::uint32_t version = 0;
-  if (rel_.enabled) {
+  if (reliable_) {
     REMSPAN_CHECK(!body.empty());
     version = body.front();
     body = body.subspan(kVersionPrefixWords);
@@ -446,46 +446,48 @@ std::map<NodeId, std::vector<Edge>> RemSpanProtocol::ball_trees() const {
   return out;
 }
 
-bool remspan_converged(const Network& net, const RemSpanConfig& config, BoundedBfs& bfs) {
+bool remspan_converged(const Network& net, std::span<const RemSpanProtocol> nodes,
+                       const RemSpanConfig& config, BoundedBfs& bfs) {
   const Graph& g = net.graph();
-  std::vector<const RemSpanProtocol*> nodes(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    nodes[v] = &dynamic_cast<const RemSpanProtocol&>(net.node(v));
-  }
+  REMSPAN_CHECK(nodes.size() == g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const RemSpanProtocol& pu = *nodes[u];
+    const RemSpanProtocol& pu = nodes[u];
     if (!pu.settled()) return false;
     if (!std::ranges::equal(pu.sensed_neighbors(), g.neighbors(u))) return false;
     bfs.run(GraphView(g), u, config.flood_scope());
     for (const NodeId o : bfs.order()) {
       if (o == u) continue;
-      if (!pu.holds(o, nodes[o]->sensed_neighbors(), nodes[o]->tree_edges())) return false;
+      if (!pu.holds(o, nodes[o].sensed_neighbors(), nodes[o].tree_edges())) return false;
     }
   }
   return true;
 }
 
-std::uint32_t run_remspan_epoch(Network& net, const RemSpanConfig& config,
-                                const ReliabilityConfig& rel, BoundedBfs& bfs) {
-  if (!rel.enabled) return net.run(config.round_budget());
+std::uint32_t run_remspan_epoch(Network& net, std::span<RemSpanProtocol> nodes,
+                                const RemSpanConfig& config, BoundedBfs& bfs) {
+  if (net.link_model() == nullptr) return net.run(nodes, config.round_budget());
   // The window must cover the longest progress-free stretch of the legal
   // schedule: the retransmission/delay bound, but also the quiet rounds
   // between a lone node's advertisement and its scheduled tree compute.
   // A quiet window is only a candidate stop; the completeness oracle
   // confirms it or sends the run back for another window of healing.
-  const std::uint32_t max_delay =
-      net.link_model() != nullptr ? net.link_model()->config().max_delay() : 0;
-  const std::uint32_t window =
-      std::max(rel.quiescence_window_for(max_delay), config.expected_rounds() + 2);
-  return net.run_until_quiescent(window, rel.max_rounds,
-                                 [&] { return remspan_converged(net, config, bfs); });
+  const std::uint32_t window = std::max(
+      quiescence_window_for(net.link_model()->config().max_delay()), config.expected_rounds() + 2);
+  const std::uint32_t rounds = net.run_until_quiescent(
+      nodes, window, kLossyMaxRounds, [&] { return remspan_converged(net, nodes, config, bfs); });
+  // Only a run that used up the whole cap can have stopped unconfirmed.
+  if (rounds == kLossyMaxRounds && !remspan_converged(net, nodes, config, bfs)) {
+    throw std::runtime_error("RemSpan epoch did not converge within the " +
+                             std::to_string(kLossyMaxRounds) + "-round cap (kLossyMaxRounds)");
+  }
+  return rounds;
 }
 
-EdgeSet advertised_spanner(const Network& net) {
+EdgeSet advertised_spanner(const Network& net, std::span<const RemSpanProtocol> nodes) {
   const Graph& g = net.graph();
   EdgeSet spanner(g);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const Edge& e : dynamic_cast<const RemSpanProtocol&>(net.node(v)).tree_edges()) {
+  for (const RemSpanProtocol& node : nodes) {
+    for (const Edge& e : node.tree_edges()) {
       const EdgeId id = g.find_edge(e.u, e.v);
       REMSPAN_CHECK(id != kInvalidEdge);
       spanner.insert(id);
@@ -496,16 +498,15 @@ EdgeSet advertised_spanner(const Network& net) {
 
 DistributedRunResult run_remspan_distributed(const Graph& g, const RemSpanConfig& config,
                                              const FaultConfig& faults) {
-  const ReliabilityConfig rel = faults.effective_reliability();
-  Network net(g, [&config, &rel](NodeId v) {
-    return std::make_unique<RemSpanProtocol>(config, v, rel);
-  });
-  if (faults.faulty()) {
-    net.set_link_model(std::make_unique<LinkModel>(faults.link, g.num_nodes()));
-  }
+  const bool reliable = faults.faulty();
+  std::vector<RemSpanProtocol> nodes;
+  nodes.reserve(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.emplace_back(config, v, reliable);
+  Network net(g);
+  if (reliable) net.set_link_model(std::make_unique<LinkModel>(faults.link, g.num_nodes()));
   BoundedBfs bfs(g.num_nodes());
-  const std::uint32_t rounds = run_remspan_epoch(net, config, rel, bfs);
-  return DistributedRunResult{advertised_spanner(net), net.stats(), rounds};
+  const std::uint32_t rounds = run_remspan_epoch(net, nodes, config, bfs);
+  return DistributedRunResult{advertised_spanner(net, nodes), net.stats(), rounds};
 }
 
 }  // namespace remspan

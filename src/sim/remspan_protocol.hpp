@@ -12,8 +12,10 @@
 // neighbor lists it actually received — the tests assert the distributed
 // union equals the centralized construction edge-for-edge.
 //
-// RemSpanProtocol is the one node program behind both drivers. The driver
-// decides how a node senses its links:
+// RemSpanProtocol is the one node program behind both drivers, a
+// NodeProgram (network.hpp) that each driver holds in a
+// std::vector<RemSpanProtocol> indexed by node id. The driver decides how a
+// node senses its links:
 //
 //   * In-band (run_remspan_distributed): HELLOs build the neighbor set. A
 //     reliable node also repeats its HELLO on every retransmission, and a
@@ -25,6 +27,11 @@
 //     one HELLO per epoch, and its compute reads the lists reachable by a
 //     walk of depth scope from its sensed neighbors, which skips stale
 //     entries for origins that left the ball.
+//
+// A node is reliable exactly when its driver's FaultConfig is faulty. Then
+// it runs the fixed retransmission schedule of link_model.hpp
+// (kRetransmitBase, kBackoffCap, kRetransmitJitter); otherwise it runs the
+// paper's exact one-shot schedule.
 //
 // Everything else is one path: version-prefixed payloads with monotone
 // acceptance under reliability (a list re-versions only under in-band
@@ -188,15 +195,15 @@ class KnowledgeTable {
   std::uint32_t epoch_ = 1;             // rx_epoch 0 = never accepted
 };
 
-class RemSpanProtocol : public Protocol {
+class RemSpanProtocol {
  public:
-  /// With reliability disabled (the default) the node runs the paper's
-  /// exact one-shot schedule. With reliability enabled it additionally
-  /// re-advertises its streams with capped exponential backoff,
-  /// version-prefixes the flood payloads, and recomputes its tree whenever
-  /// late input arrives, so it converges over a lossy LinkModel channel.
-  RemSpanProtocol(const RemSpanConfig& config, NodeId self, const ReliabilityConfig& rel = {})
-      : config_(config), rel_(rel), self_(self) {}
+  /// An unreliable node (the default) runs the paper's exact one-shot
+  /// schedule. A reliable node additionally re-advertises its streams with
+  /// capped exponential backoff, version-prefixes the flood payloads, and
+  /// recomputes its tree whenever late input arrives, so it converges over
+  /// a lossy LinkModel channel.
+  RemSpanProtocol(const RemSpanConfig& config, NodeId self, bool reliable = false)
+      : config_(config), reliable_(reliable), self_(self) {}
 
   /// Driver-side link sensing: replaces the neighbor set with `sorted` and
   /// from then on ignores HELLO contents (see the header comment).
@@ -211,14 +218,12 @@ class RemSpanProtocol : public Protocol {
   /// full-re-flood strawman's cold start).
   void begin_epoch(bool advertise, bool reset_state);
 
-  void on_round(NodeContext& ctx) override;
-  void on_message(NodeContext& ctx, const Message& msg) override;
+  void on_round(NodeContext& ctx);
+  void on_message(NodeContext& ctx, const Message& msg);
   /// Reliable nodes never self-declare done: an ack-less sender cannot know
   /// its floods landed, so termination is the quiescence detector's call.
-  [[nodiscard]] bool done() const override {
-    return !rel_.enabled && (computed_ || !advertise_);
-  }
-  [[nodiscard]] std::uint64_t state_version() const override { return progress_; }
+  [[nodiscard]] bool done() const noexcept { return !reliable_ && (computed_ || !advertise_); }
+  [[nodiscard]] std::uint64_t state_version() const noexcept { return progress_; }
 
   /// This node's advertised tree (global edge endpoints).
   [[nodiscard]] const std::vector<Edge>& tree_edges() const noexcept { return tree_edges_; }
@@ -283,7 +288,7 @@ class RemSpanProtocol : public Protocol {
   [[nodiscard]] std::vector<NodeId> ball_origins() const;
 
   RemSpanConfig config_;
-  ReliabilityConfig rel_;
+  bool reliable_;
   NodeId self_;
   FloodManager flood_;
   bool driver_sensed_ = false;
@@ -308,24 +313,30 @@ class RemSpanProtocol : public Protocol {
 };
 
 /// The completeness oracle behind confirmed quiescence (reconvergence.hpp,
-/// proof-sketch step 4): true iff every RemSpanProtocol node of `net` is
-/// settled, senses exactly its row of net.graph(), and holds, for every
-/// origin within flood_scope() of it, that origin's current neighbor list
-/// and advertised tree, content-equal. `bfs` is scratch sized for the graph.
-[[nodiscard]] bool remspan_converged(const Network& net, const RemSpanConfig& config,
-                                     BoundedBfs& bfs);
+/// proof-sketch step 4): true iff every node of `nodes` (indexed by node
+/// id) is settled, senses exactly its row of net.graph(), and holds, for
+/// every origin within flood_scope() of it, that origin's current neighbor
+/// list and advertised tree, content-equal. `bfs` is scratch sized for the
+/// graph.
+[[nodiscard]] bool remspan_converged(const Network& net, std::span<const RemSpanProtocol> nodes,
+                                     const RemSpanConfig& config, BoundedBfs& bfs);
 
-/// Runs one convergence epoch of RemSpanProtocol nodes — the one epoch
-/// runner of both drivers. Lossless: run(round_budget()). Reliable: until
-/// a quiet window confirmed by remspan_converged, the window covering the
-/// retransmission period plus the attached link model's maximum delay.
+/// Runs one convergence epoch of `nodes` over `net` — the one epoch runner
+/// of both drivers, which attach a link model exactly when their nodes are
+/// reliable. Without a link model: run(round_budget()). With one: until a
+/// quiet window confirmed by remspan_converged, the window covering the
+/// retransmission period plus the link model's maximum delay. Such an
+/// epoch that uses up all kLossyMaxRounds rounds without a converged state
+/// throws std::runtime_error naming the cap, so a lossy run never returns
+/// a wrong spanner.
 /// @return rounds executed.
-std::uint32_t run_remspan_epoch(Network& net, const RemSpanConfig& config,
-                                const ReliabilityConfig& rel, BoundedBfs& bfs);
+std::uint32_t run_remspan_epoch(Network& net, std::span<RemSpanProtocol> nodes,
+                                const RemSpanConfig& config, BoundedBfs& bfs);
 
 /// Union of every node's advertised tree as an EdgeSet of net.graph() —
-/// the network-wide view of the spanner RemSpanProtocol nodes maintain.
-[[nodiscard]] EdgeSet advertised_spanner(const Network& net);
+/// the network-wide view of the spanner the nodes maintain.
+[[nodiscard]] EdgeSet advertised_spanner(const Network& net,
+                                         std::span<const RemSpanProtocol> nodes);
 
 /// Result of one run of the protocol on a graph.
 struct DistributedRunResult {
@@ -335,12 +346,12 @@ struct DistributedRunResult {
 };
 
 /// Runs the protocol on g with in-band sensing. A faulty `faults.link`
-/// attaches a LinkModel, and whenever the channel is faulty (or reliability
-/// was requested explicitly) the reliable protocol runs until the
+/// attaches a LinkModel, and the reliable protocol runs until the
 /// quiescence detector fires; the default runs the paper's exact lossless
 /// schedule. The convergence-under-loss contract (reconvergence.hpp)
 /// applies: for any loss rate < 1 the returned spanner equals the lossless
-/// run's spanner edge-for-edge.
+/// run's spanner edge-for-edge, or the run throws std::runtime_error when
+/// the epoch reaches kLossyMaxRounds first.
 [[nodiscard]] DistributedRunResult run_remspan_distributed(const Graph& g,
                                                            const RemSpanConfig& config,
                                                            const FaultConfig& faults = {});

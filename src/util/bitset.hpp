@@ -49,9 +49,6 @@ class DynamicBitset {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
-  void clear_all() noexcept {
-    for (auto& w : words_) w = 0;
-  }
   void set_all() noexcept {
     for (auto& w : words_) w = ~std::uint64_t{0};
     trim();

@@ -214,9 +214,9 @@ TEST(LinkModel, GilbertElliottLossComesInBursts) {
 }
 
 /// Broadcasts one HELLO in round 1 and records arrival rounds.
-class StampedHello : public Protocol {
+class StampedHello {
  public:
-  void on_round(NodeContext& ctx) override {
+  void on_round(NodeContext& ctx) {
     if (sent_) return;
     Message msg;
     msg.type = 1;
@@ -224,10 +224,11 @@ class StampedHello : public Protocol {
     ctx.broadcast(std::move(msg));
     sent_ = true;
   }
-  void on_message(NodeContext& ctx, const Message& msg) override {
+  void on_message(NodeContext& ctx, const Message& msg) {
     arrivals.emplace_back(msg.origin, ctx.round());
   }
-  [[nodiscard]] bool done() const override { return sent_; }
+  [[nodiscard]] bool done() const { return sent_; }
+  [[nodiscard]] std::uint64_t state_version() const { return 0; }
 
   std::vector<std::pair<NodeId, std::uint32_t>> arrivals;
 
@@ -239,14 +240,15 @@ TEST(LinkModel, FixedDelayPostponesDeliveryExactly) {
   const Graph g = path_graph(2);
   LinkModelConfig cfg;
   cfg.delay = 3;
-  Network net(g, [](NodeId) { return std::make_unique<StampedHello>(); });
+  Network net(g);
+  std::vector<StampedHello> nodes(g.num_nodes());
   net.set_link_model(std::make_unique<LinkModel>(cfg, g.num_nodes()));
-  const auto rounds = net.run(20);
+  const auto rounds = net.run(std::span(nodes), 20);
   // Sent in round 1, delivered in round 1 + 3; the run drains the delayed
   // copies before stopping.
   EXPECT_EQ(rounds, 4u);
   for (NodeId v = 0; v < 2; ++v) {
-    const auto& p = dynamic_cast<const StampedHello&>(net.node(v));
+    const auto& p = nodes[v];
     ASSERT_EQ(p.arrivals.size(), 1u) << "v=" << v;
     EXPECT_EQ(p.arrivals[0].second, 4u) << "v=" << v;
   }
@@ -261,9 +263,10 @@ TEST(LinkModel, NetworkAccountsDropsAndDeliversTheRest) {
   LinkModelConfig cfg;
   cfg.drop = 0.4;
   cfg.seed = 11;
-  Network net(g, [](NodeId) { return std::make_unique<StampedHello>(); });
+  Network net(g);
+  std::vector<StampedHello> nodes(g.num_nodes());
   net.set_link_model(std::make_unique<LinkModel>(cfg, g.num_nodes()));
-  net.run(10);
+  net.run(std::span(nodes), 10);
   const NetworkStats& s = net.stats();
   EXPECT_EQ(s.transmissions, 24u);
   EXPECT_GT(s.drops, 0u);
@@ -284,13 +287,12 @@ TEST(LinkModel, SameSeedSameNetworkStatsAcrossRuns) {
   cfg.seed = 99;
 
   auto run_once = [&] {
-    Network net(g, [](NodeId) { return std::make_unique<StampedHello>(); });
+    Network net(g);
+    std::vector<StampedHello> nodes(g.num_nodes());
     net.set_link_model(std::make_unique<LinkModel>(cfg, g.num_nodes()));
-    net.run(30);
+    net.run(std::span(nodes), 30);
     std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> arrivals;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      arrivals.push_back(dynamic_cast<const StampedHello&>(net.node(v)).arrivals);
-    }
+    for (const StampedHello& p : nodes) arrivals.push_back(p.arrivals);
     return std::make_pair(net.stats(), arrivals);
   };
 
@@ -310,12 +312,14 @@ TEST(LinkModel, LosslessModelMatchesNoModelBitExactly) {
   // the plain LOCAL network (the decide() path returns {true, 0} always).
   Rng rng(7);
   const Graph g = connected_gnp(20, 0.25, rng);
-  Network plain(g, [](NodeId) { return std::make_unique<StampedHello>(); });
-  const auto rounds_plain = plain.run(10);
+  Network plain(g);
+  std::vector<StampedHello> plain_nodes(g.num_nodes());
+  const auto rounds_plain = plain.run(std::span(plain_nodes), 10);
 
-  Network modeled(g, [](NodeId) { return std::make_unique<StampedHello>(); });
+  Network modeled(g);
+  std::vector<StampedHello> modeled_nodes(g.num_nodes());
   modeled.set_link_model(std::make_unique<LinkModel>(LinkModelConfig{}, g.num_nodes()));
-  const auto rounds_modeled = modeled.run(10);
+  const auto rounds_modeled = modeled.run(std::span(modeled_nodes), 10);
 
   EXPECT_EQ(rounds_plain, rounds_modeled);
   EXPECT_EQ(plain.stats().receptions, modeled.stats().receptions);
@@ -323,8 +327,7 @@ TEST(LinkModel, LosslessModelMatchesNoModelBitExactly) {
   EXPECT_EQ(modeled.stats().drops, 0u);
   EXPECT_EQ(modeled.stats().delayed, 0u);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(dynamic_cast<const StampedHello&>(plain.node(v)).arrivals,
-              dynamic_cast<const StampedHello&>(modeled.node(v)).arrivals);
+    EXPECT_EQ(plain_nodes[v].arrivals, modeled_nodes[v].arrivals);
   }
 }
 

@@ -42,9 +42,9 @@ void expect_same_converged_state(ReconvergenceSim& inc, ReconvergenceSim& ref,
   ASSERT_EQ(inc.graph().num_edges(), ref.graph().num_edges()) << context;
   EXPECT_EQ(inc.spanner().edge_list(), ref.spanner().edge_list()) << context;
   for (NodeId v = 0; v < inc.graph().num_nodes(); ++v) {
-    EXPECT_EQ(inc.node_tree(v), ref.node_tree(v)) << context << " node " << v;
-    EXPECT_EQ(inc.node_ball_lists(v), ref.node_ball_lists(v)) << context << " node " << v;
-    EXPECT_EQ(inc.node_ball_trees(v), ref.node_ball_trees(v)) << context << " node " << v;
+    EXPECT_EQ(inc.node(v).tree_edges(), ref.node(v).tree_edges()) << context << " node " << v;
+    EXPECT_EQ(inc.node(v).ball_lists(), ref.node(v).ball_lists()) << context << " node " << v;
+    EXPECT_EQ(inc.node(v).ball_trees(), ref.node(v).ball_trees()) << context << " node " << v;
   }
 }
 
@@ -255,7 +255,7 @@ TEST(Reconvergence, NodeOutageAndRecovery) {
   ref.apply_batch(down);
   expect_same_converged_state(inc, ref, "node down");
   EXPECT_EQ(inc.spanner().edge_list(), centralized(inc.graph(), cfg).edge_list());
-  EXPECT_TRUE(inc.node_tree(victim).empty());
+  EXPECT_TRUE(inc.node(victim).tree_edges().empty());
 
   const GraphEvent up[] = {GraphEvent::node_up(victim)};
   inc.apply_batch(up);

@@ -9,6 +9,7 @@
 // tests, not statistical ones.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "api/registry.hpp"
@@ -42,10 +43,11 @@ void expect_same_converged_state(ReconvergenceSim& lossy, ReconvergenceSim& loss
   ASSERT_EQ(lossy.graph().num_edges(), lossless.graph().num_edges()) << context;
   ASSERT_EQ(lossy.spanner().edge_list(), lossless.spanner().edge_list()) << context;
   for (NodeId v = 0; v < lossy.graph().num_nodes(); ++v) {
-    ASSERT_EQ(lossy.node_tree(v), lossless.node_tree(v)) << context << " node " << v;
-    ASSERT_EQ(lossy.node_ball_lists(v), lossless.node_ball_lists(v))
+    ASSERT_EQ(lossy.node(v).tree_edges(), lossless.node(v).tree_edges())
         << context << " node " << v;
-    ASSERT_EQ(lossy.node_ball_trees(v), lossless.node_ball_trees(v))
+    ASSERT_EQ(lossy.node(v).ball_lists(), lossless.node(v).ball_lists())
+        << context << " node " << v;
+    ASSERT_EQ(lossy.node(v).ball_trees(), lossless.node(v).ball_trees())
         << context << " node " << v;
   }
 }
@@ -273,6 +275,41 @@ TEST(ReconvergenceLoss, DistributedRunUnderLossMatchesLosslessSpanner) {
       EXPECT_EQ(lossy.stats.drops, pin.drops) << cfg.kind_name() << " p=" << p;
     }
   }
+}
+
+// At 99.9 % loss no epoch on this graph converges within kLossyMaxRounds.
+// Both drivers must say so instead of returning the unconverged nodes'
+// spanner, which differs from the lossless one.
+struct RoundCapCase {
+  Graph g = [] {
+    Rng rng(39);
+    return connected_gnp(42, 0.14, rng);
+  }();
+  RemSpanConfig cfg{TreeRecipe::k_connecting(1)};
+  FaultConfig faults = iid_faults(0.999, 0, 0, 3);
+};
+
+/// Asserts that `run` throws std::runtime_error naming the epoch round cap.
+template <class Run>
+void expect_round_cap_error(const Run& run) {
+  try {
+    run();
+    ADD_FAILURE() << "no error at the round cap";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kLossyMaxRounds)), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReconvergenceLoss, DistributedRunThatReachesTheRoundCapThrows) {
+  const RoundCapCase c;
+  expect_round_cap_error([&c] { (void)run_remspan_distributed(c.g, c.cfg, c.faults); });
+}
+
+TEST(ReconvergenceLoss, SimThatReachesTheRoundCapThrowsFromItsConstructor) {
+  const RoundCapCase c;
+  expect_round_cap_error(
+      [&c] { ReconvergenceSim sim(c.g, c.cfg, ReconvergeStrategy::kIncremental, c.faults); });
 }
 
 TEST(ReconvergenceLoss, SessionOpenedBySpecCarriesFaultsAndMeetsGuarantee) {

@@ -142,9 +142,11 @@ TEST(RemSpanProtocol, TopologyKnowledgeIsLocal) {
   // distance s — the protocol is local, the paper's key selling point.
   const Graph g = path_graph(12);
   const RemSpanConfig cfg{TreeRecipe::r_beta_tree(3, 1, TreeAlgorithm::kGreedy)};  // scope 3
-  Network net(g, [&cfg](NodeId v) { return std::make_unique<RemSpanProtocol>(cfg, v); });
-  net.run(cfg.expected_rounds() + 2);
-  const auto& p0 = dynamic_cast<const RemSpanProtocol&>(net.node(0));
+  Network net(g);
+  std::vector<RemSpanProtocol> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.emplace_back(cfg, v);
+  net.run(std::span(nodes), cfg.expected_rounds() + 2);
+  const RemSpanProtocol& p0 = nodes[0];
   for (const auto& [origin, list] : p0.topology_knowledge()) {
     EXPECT_LE(origin, 3u);  // on a path, distance = id difference
   }
